@@ -5,10 +5,8 @@ fresh record against ``OLD.json``; ``--against NEW.json`` diffs two
 existing files without running anything. A regression is any shared
 ``us_per_*`` (time-per-operation) metric that grew by more than
 ``--max-regress-pct`` percent — lower is better for those by construction.
-
-The reader is backward compatible: ``repro-bench/1`` records (``BENCH_4``)
-have no ``meta`` block and fewer benchmarks; comparison simply covers the
-metrics both records share, and reports the added/removed ones.
+Comparison covers the metrics both records share, and reports the
+added/removed ones.
 """
 
 from __future__ import annotations
@@ -16,19 +14,15 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Tuple
 
-#: schemas this reader understands (newest last)
-KNOWN_SCHEMAS = ("repro-bench/1", "repro-bench/2")
+#: schemas this reader understands
+KNOWN_SCHEMAS = ("repro-bench/2",)
 
 #: substring marking a gated lower-is-better metric
 GATED_MARKER = "us_per"
 
 
 def load_record(path: str) -> Dict[str, Any]:
-    """Load and validate a bench record of any known schema.
-
-    ``repro-bench/1`` records are normalized to the v2 shape (an empty
-    ``meta`` block) so downstream code has one format to handle.
-    """
+    """Load and validate a bench record."""
     with open(path, encoding="utf-8") as handle:
         record: Dict[str, Any] = json.load(handle)
     schema = record.get("schema")

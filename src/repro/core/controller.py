@@ -45,7 +45,6 @@ from repro.core.registry import EdgeService, RegistryToken, ServiceRegistry
 from repro.core.revalidation import RevalidatingCache
 from repro.core.serviceid import ServiceID
 from repro.edge.cluster import EdgeCluster, Endpoint
-from repro.metrics.perf import PERF
 from repro.netsim.addresses import MAC, IPv4
 from repro.netsim.packet import ETH_TYPE_ARP, ETH_TYPE_IP, ArpOp, ArpPacket, EthernetFrame
 from repro.openflow.actions import SetFieldAction
@@ -82,9 +81,9 @@ class _HostTable(Dict[IPv4, Tuple[int, int, MAC]]):
 
     Memoized install plans embed host locations; any write — including the
     direct writes testbed builders do (``controller.hosts[ip] = ...``) —
-    bumps the global ``version`` (the coarse revalidation token) and stamps
-    the written key, so :meth:`version_of` can revalidate a plan against
-    *that client's* location only (the fine-grained token).
+    bumps the global ``version`` (the plan memo's "did anything move"
+    generation) and stamps the written key, so :meth:`version_of` can
+    revalidate a plan against *that client's* location only.
     """
 
     __slots__ = ("version", "_key_versions", "_clears")
@@ -135,18 +134,9 @@ class _InstallPlan:
     computes that does not change between identical packet-ins — host
     locations, the dpid path, and the per-hop matches/action lists. Cookies
     are NOT part of the plan (every install draws a fresh one) and datapaths
-    are fetched live at send time."""
+    are fetched live at send time. Validity lives in the plan memo (see
+    ``_plan_token``), not here."""
 
-    #: validity token (registry, flow-memory, hosts, cluster) the plan was
-    #: computed under, compared per entry on reuse. Fine-grained mode uses
-    #: per-key tokens (see ``_plan_epoch``), coarse mode the four global
-    #: generation counters.
-    epoch: Tuple[object, ...]
-    #: the four *global* counters at compute/last-revalidation time — the
-    #: O(1) fast path on reuse: while no counter moved anywhere, the
-    #: per-key tokens cannot have moved either, so the epoch needn't be
-    #: recomputed. Re-stamped whenever a generation move revalidates.
-    global_epoch: Tuple[int, int, int, int]
     client_mac: MAC
     #: (dpid, first, down_match, down_actions, up_match, up_actions, flags)
     #: in install order (farthest-first, downstream-before-upstream)
@@ -157,6 +147,9 @@ class _InstallPlan:
 
 #: memoized install plans kept per controller before a wholesale flush
 PLAN_CACHE_CAPACITY = 4096
+
+#: plan memo key: (client, addressed dst, service identity, cluster, endpoint)
+_PlanKey = Tuple[IPv4, IPv4, ServiceID, EdgeCluster, Endpoint]
 
 
 @dataclass
@@ -200,19 +193,6 @@ class ControllerConfig:
     auto_remove_after_s: Optional[float] = None
     #: ablation switch: with False, re-misses always run the full dispatch
     use_flow_memory: bool = True
-    #: memoize the packet-in slow path (registry lookup result + computed
-    #: install plan) with generation-counter invalidation; behaviour-neutral
-    #: (tests/core/test_controller_memoization.py proves it differentially)
-    memoize_slow_path: bool = True
-    #: revalidate slow-path memos per key instead of flushing wholesale:
-    #: the service memo revalidates each entry against
-    #: ``ServiceRegistry.generation_of`` and install plans against per-key
-    #: epochs (registry token, per-(client, service) FlowMemory version,
-    #: per-client host version, per-cluster generation), so churn on
-    #: service X never colds the caches for service Y. ``False`` selects
-    #: the coarse global-generation path, kept as the differential oracle
-    #: (tests/core/test_fine_revalidation.py).
-    fine_grained_revalidation: bool = True
     #: inter-switch topology for multi-switch deployments (None: single
     #: switch, the fig. 8 testbed)
     fabric: Optional["FabricTopology"] = None
@@ -276,25 +256,24 @@ class TransparentEdgeController(RyuApp):
         for addr, attachment in self.cfg.static_hosts.items():
             self.hosts[addr] = (attachment.dpid, attachment.port_no, attachment.mac)
         #: memoized registry lookups: (dst ip, dst port, protocol) ->
-        #: EdgeService | None, valid while the registry generation is
-        #: unchanged. Protocol is part of the key — a TCP and a UDP service
-        #: on the same address:port are distinct registrations and must not
-        #: collide in the memo.
-        self._service_cache: Dict[Tuple[IPv4, int, str],
-                                  Optional[EdgeService]] = {}
-        self._service_cache_gen = -1
-        #: the fine-grained replacement for ``_service_cache``: same keys,
-        #: but entries revalidate individually against the registry's
-        #: per-key token instead of being flushed on a generation mismatch
+        #: EdgeService | None, each entry revalidated against the
+        #: registry's per-key token. Protocol is part of the key — a TCP
+        #: and a UDP service on the same address:port are distinct
+        #: registrations and must not collide in the memo.
         self._service_memo: RevalidatingCache[Tuple[IPv4, int, str],
                                               Optional[EdgeService],
                                               RegistryToken] = RevalidatingCache(
             token_of=self._service_token,
             generation_of=self._registry_generation,
             capacity=PLAN_CACHE_CAPACITY)
-        #: memoized install plans: (client, service_id, cluster name,
-        #: endpoint) -> _InstallPlan, validated per entry by its epoch
-        self._plan_cache: Dict[Tuple, _InstallPlan] = {}
+        #: memoized install plans: (client, addressed dst, service_id,
+        #: cluster, endpoint) -> _InstallPlan, each entry revalidated
+        #: against ``_plan_token``
+        self._plan_memo: RevalidatingCache[_PlanKey, _InstallPlan,
+                                           Tuple[object, ...]] = RevalidatingCache(
+            token_of=self._plan_token,
+            generation_of=self._plan_generation,
+            capacity=PLAN_CACHE_CAPACITY)
         #: pending dispatches: (client, service_id) -> buffered packet-ins
         self._pending: Dict[Tuple[IPv4, ServiceID], List] = {}
         #: cookie -> cluster name (for load bookkeeping on FlowRemoved and
@@ -426,9 +405,8 @@ class TransparentEdgeController(RyuApp):
         return self._lookup_service(dst, dst_port, protocol)
 
     def service_memo_stats(self) -> Dict[str, int]:
-        """Diagnostics of the fine-grained service memo (hits, misses,
-        revalidations, invalidations, flushes) — what ``bench_warm_churn``
-        and the CI hit-rate gates read."""
+        """Diagnostics of the service memo (hits, misses, revalidations,
+        invalidations, flushes)."""
         return self._service_memo.stats()
 
     def _service_token(self, key: Tuple[IPv4, int, str]) -> RegistryToken:
@@ -436,7 +414,7 @@ class TransparentEdgeController(RyuApp):
         dst, dst_port, protocol = key
         return self.registry.generation_of(dst, dst_port, protocol)
 
-    def _registry_generation(self) -> int:
+    def _registry_generation(self, _key: Tuple[IPv4, int, str]) -> int:
         return self.registry.generation
 
     def _lookup_service(self, dst: IPv4, dst_port: int,
@@ -445,35 +423,16 @@ class TransparentEdgeController(RyuApp):
         answers are cached too — the common miss is plain L3 traffic
         hammering the same non-service destination. Prefix-aware: an
         address inside a subnet-registered prefix resolves to that service
-        (longest match wins).
-
-        Fine-grained mode (default) revalidates each memo entry against
-        the registry's per-key token, so churn on unrelated services keeps
-        the whole cache warm; the coarse path clears everything on any
-        registry mutation and is kept as the differential oracle."""
-        if not self.cfg.memoize_slow_path:
-            return self.registry.lookup_prefix(dst, dst_port, protocol)
+        (longest match wins). Each memo entry revalidates against the
+        registry's per-key token, so churn on unrelated services keeps the
+        whole cache warm."""
         key = (dst, dst_port, protocol)
-        if self.cfg.fine_grained_revalidation:
-            found, cached = self._service_memo.get(key)
-            if found:
-                return cached
-            service = self.registry.lookup_prefix(dst, dst_port, protocol)
-            self._service_memo.store(key, service)
-            return service
-        if self._service_cache_gen != self.registry.generation:
-            # Coarse differential oracle: any registry mutation colds the
-            # entire memo (the behaviour fine-grained revalidation replaces).
-            self._service_cache.clear()  # repro: noqa[REP009]
-            self._service_cache_gen = self.registry.generation
-        try:
-            return self._service_cache[key]
-        except KeyError:
-            service = self.registry.lookup_prefix(dst, dst_port, protocol)
-            if len(self._service_cache) >= PLAN_CACHE_CAPACITY:
-                self._service_cache.clear()  # repro: noqa[REP009]
-            self._service_cache[key] = service
-            return service
+        found, cached = self._service_memo.get(key)
+        if found:
+            return cached
+        service = self.registry.lookup_prefix(dst, dst_port, protocol)
+        self._service_memo.store(key, service)
+        return service
 
     # ------------------------------------------------------------- learning
 
@@ -606,31 +565,25 @@ class TransparentEdgeController(RyuApp):
         for datapath, msg in pending:
             self._route_toward(datapath, msg, msg.frame.ipv4.dst)
 
-    def _plan_epoch(self, service: EdgeService, client: IPv4,
-                    dst_addr: IPv4, cluster: EdgeCluster) -> Tuple[object, ...]:
-        """The validity token an install plan is compared against on reuse.
+    def _plan_token(self, key: _PlanKey) -> Tuple[object, ...]:
+        """The plan memo's per-key revalidation token: exactly what a plan
+        depends on — the registry token of the addressed identity, this
+        (client, service) pair's FlowMemory version, this client's
+        host-table version, and the chosen cluster's own generation — so
+        churn on service X or client Y never invalidates anyone else's
+        plan."""
+        client, dst_addr, sid, cluster, _endpoint = key
+        return (self.registry.generation_of(dst_addr, sid.port, sid.protocol),
+                self.memory.version_of(client, sid),
+                self.hosts.version_of(client),
+                cluster.generation)
 
-        Fine-grained mode keys it on exactly what the plan depends on: the
-        registry token of the addressed identity, this (client, service)
-        pair's FlowMemory version, this client's host-table version, and
-        the chosen cluster's own generation — so churn on service X or
-        client Y never invalidates the plans of anyone else. Coarse mode
-        uses the four *global* counters (any churn anywhere invalidates
-        every plan) and is kept as the differential oracle.
-        """
-        if self.cfg.fine_grained_revalidation:
-            sid = service.service_id
-            return (self.registry.generation_of(dst_addr, sid.port, sid.protocol),
-                    self.memory.version_of(client, sid),
-                    self.hosts.version_of(client),
-                    cluster.generation)
-        return self._global_epoch(cluster)
-
-    def _global_epoch(self, cluster: EdgeCluster) -> Tuple[int, int, int, int]:
-        """The four global generation counters — unchanged iff *nothing*
-        (registry, FlowMemory, host table, this cluster) mutated at all."""
+    def _plan_generation(self, key: _PlanKey) -> Tuple[int, int, int, int]:
+        """The four global counters behind ``_plan_token`` — unchanged iff
+        *nothing* (registry, FlowMemory, host table, the key's cluster)
+        mutated at all, so the token need not be recomputed."""
         return (self.registry.generation, self.memory.generation,
-                self.hosts.version, cluster.generation)
+                self.hosts.version, key[3].generation)
 
     def _build_install_plan(self, service: EdgeService, client: IPv4,
                             dst_addr: IPv4, cluster: EdgeCluster,
@@ -721,9 +674,7 @@ class TransparentEdgeController(RyuApp):
                          ofp.OFPFF_SEND_FLOW_REM if first else 0))
             release_actions[dpid] = up_actions
 
-        return _InstallPlan(epoch=self._plan_epoch(service, client, dst_addr, cluster),
-                            global_epoch=self._global_epoch(cluster),
-                            client_mac=client_mac, hops=hops,
+        return _InstallPlan(client_mac=client_mac, hops=hops,
                             release_actions=release_actions)
 
     def _install_and_release(self, service: EdgeService, pending,
@@ -737,43 +688,19 @@ class TransparentEdgeController(RyuApp):
 
         # Memoized slow path: identical re-misses (same client, service,
         # cluster, endpoint) reuse the computed plan — matches and action
-        # lists are immutable/copied-on-send, so reuse is safe. Mirrors the
-        # switch microflow cache: per-entry generation epoch, wholesale
-        # flush on capacity overflow. Cookies are always fresh and
-        # datapaths always fetched live, so the observable message stream
-        # is identical to the unmemoized path.
-        plan: Optional[_InstallPlan] = None
-        plan_key = None
-        if self.cfg.memoize_slow_path:
-            plan_key = (client, dst_addr, service.service_id,
-                        cluster.name, endpoint)
-            cached = self._plan_cache.get(plan_key)
-            if cached is not None:
-                current_global = self._global_epoch(cluster)
-                if cached.global_epoch == current_global:
-                    # Nothing anywhere mutated: the per-key tokens cannot
-                    # have moved, so skip recomputing them entirely.
-                    plan = cached
-                elif cached.epoch == self._plan_epoch(service, client,
-                                                      dst_addr, cluster):
-                    # Something mutated somewhere, but everything THIS plan
-                    # depends on is untouched: revalidate and re-stamp.
-                    plan = cached
-                    cached.global_epoch = current_global
-                    PERF.memo_revalidations += 1
-            if plan is not None:
-                self.stats["slow_path_plan_hits"] += 1
-        if plan is None:
+        # lists are immutable/copied-on-send, so reuse is safe. Cookies are
+        # always fresh and datapaths always fetched live, so the observable
+        # message stream is identical to a recomputation.
+        plan_key = (client, dst_addr, service.service_id, cluster, endpoint)
+        found, plan = self._plan_memo.get(plan_key)
+        if found:
+            self.stats["slow_path_plan_hits"] += 1
+        else:
+            self.stats["slow_path_plan_misses"] += 1
             plan = self._build_install_plan(service, client, dst_addr,
                                             cluster, endpoint, parser, ofp)
-            if self.cfg.memoize_slow_path:
-                self.stats["slow_path_plan_misses"] += 1
-                if plan is not None:
-                    if len(self._plan_cache) >= PLAN_CACHE_CAPACITY:
-                        # Capacity bound, not a generation shortcut: plans
-                        # revalidate per entry by their epoch either way.
-                        self._plan_cache.clear()  # repro: noqa[REP009]
-                    self._plan_cache[plan_key] = plan
+            if plan is not None:
+                self._plan_memo.store(plan_key, plan)
         if plan is None:
             # Cannot wire the redirection — degrade to the cloud path rather
             # than silently dropping the buffered packets.
@@ -972,12 +899,9 @@ class TransparentEdgeController(RyuApp):
         for addr, attachment in self.cfg.static_hosts.items():
             self.hosts[addr] = (attachment.dpid, attachment.port_no,
                                 attachment.mac)
-        # Crash reset: a warm-restarted controller must forget every memo,
-        # fine-grained or not — this is the one legitimate wholesale wipe.
-        self._service_cache.clear()  # repro: noqa[REP009]
-        self._service_cache_gen = -1
+        # Crash reset: a warm-restarted controller must forget every memo.
         self._service_memo.flush()
-        self._plan_cache.clear()  # repro: noqa[REP009]
+        self._plan_memo.flush()
         self._cookie_cluster.clear()
         self._cookie_client.clear()
         for cluster in self.dispatcher.clusters:

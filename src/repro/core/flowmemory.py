@@ -65,8 +65,8 @@ class FlowMemory:
         self.on_idle = on_idle
         self._flows: Dict[FlowKey, MemorizedFlow] = {}
         #: bumped on every mutation (remember/forget/clear/expiry) — lookups
-        #: only *touch*; coarse memoized consumers are valid only while the
-        #: generation is unchanged
+        #: only *touch*; while it is unchanged no :meth:`version_of` token
+        #: can have moved (the plan memo's O(1) hit)
         self.generation = 0
         #: per-key stamps — the global generation's value at each flow key's
         #: last mutation; :meth:`version_of` turns them into a revalidation

@@ -1,12 +1,12 @@
 """Per-key cache revalidation — the OVS-revalidator idea in memo form.
 
-Every memo in the control plane used to share one failure mode: validity
-was keyed on a *global* generation counter, so one churn event (a service
-registered, one client's flow idling out) wholesale-flushed answers for a
-million unrelated keys. This module is the fine-grained replacement: a
-:class:`RevalidatingCache` keeps each entry alive across global churn and
-revalidates it *individually* against a per-key token when — and only
-when — the global counter has moved.
+Keying a memo's validity on a *global* generation counter has one failure
+mode: one churn event (a service registered, one client's flow idling out)
+wholesale-flushes answers for a million unrelated keys. A
+:class:`RevalidatingCache` instead keeps each entry alive across global
+churn and revalidates it *individually* against a per-key token when — and
+only when — the global counter has moved. Both control-plane memos (the
+controller's service decision and its install plans) are instances.
 
 The contract with the token provider: ``token_of(key)`` must compare equal
 between two points in time **iff** the memoized computation for ``key``
@@ -40,8 +40,10 @@ class RevalidatingCache(Generic[K, V, T]):
     which it was computed, and the global generation at which it was last
     known fresh. :meth:`get` then answers in three tiers:
 
-    * global generation unchanged since the entry was last validated →
-      O(1) hit; the token is not even recomputed;
+    * generation unchanged since the entry was last validated → O(1) hit;
+      the token is not even recomputed. ``generation_of(key)`` may fold in
+      counters the key selects (the plan memo adds its cluster's), as long
+      as "generation unchanged" still implies "token unchanged";
     * generation moved → recompute *this key's* token only; if it matches
       the stored one the value is still exact (a **revalidation** — the
       entry is re-stamped and survives), otherwise the entry is dropped
@@ -56,14 +58,14 @@ class RevalidatingCache(Generic[K, V, T]):
                  "hits", "misses", "revalidations", "invalidations", "flushes")
 
     def __init__(self, token_of: Callable[[K], T],
-                 generation_of: Callable[[], int],
+                 generation_of: Callable[[K], object],
                  capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self._token_of = token_of
         self._generation_of = generation_of
         self._capacity = capacity
-        self._entries: Dict[K, Tuple[V, T, int]] = {}
+        self._entries: Dict[K, Tuple[V, T, object]] = {}
         #: diagnostics (PERF mirrors the revalidation outcomes globally)
         self.hits = 0
         self.misses = 0
@@ -79,7 +81,7 @@ class RevalidatingCache(Generic[K, V, T]):
             self.misses += 1
             return (False, None)
         value, token, seen_generation = record
-        generation = self._generation_of()
+        generation = self._generation_of(key)
         if generation == seen_generation:
             self.hits += 1
             return (True, value)
@@ -102,7 +104,8 @@ class RevalidatingCache(Generic[K, V, T]):
         """Memoize ``value`` under the key's *current* token."""
         if len(self._entries) >= self._capacity:
             self.flush()
-        self._entries[key] = (value, self._token_of(key), self._generation_of())
+        self._entries[key] = (value, self._token_of(key),
+                              self._generation_of(key))
 
     def flush(self) -> None:
         """Drop everything (capacity bound / crash reset)."""

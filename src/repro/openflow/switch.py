@@ -72,13 +72,6 @@ class OpenFlowSwitch(Device):
     buffer_capacity:
         Max packets buffered awaiting controller decisions; overflow falls
         back to NO_BUFFER packet-ins carrying the full frame.
-    microflow_surgical:
-        ``True`` (default) revalidates the microflow cache surgically: a
-        table mutation evicts only the cached packets the mutated rule
-        could affect, keeping unrelated flows warm across churn. ``False``
-        selects the pre-revalidation coarse path — any table mutation
-        flushes the whole cache at the next packet — kept as the
-        differential oracle for the surgical mode.
     """
 
     def __init__(
@@ -89,7 +82,6 @@ class OpenFlowSwitch(Device):
         channel: Optional[ControlChannel] = None,
         forwarding_delay_s: float = 5e-6,
         buffer_capacity: int = 1024,
-        microflow_surgical: bool = True,
     ) -> None:
         super().__init__(sim, name)
         self.dpid = dpid
@@ -114,38 +106,31 @@ class OpenFlowSwitch(Device):
         self._echo_outstanding = 0
         self._liveness_handle: Optional[Any] = None
         # ---- microflow cache: canonical packet field-tuple -> winning entry
-        # (or None for a known drop). In surgical mode (the default) the
-        # cache is revalidated per entry: the flow table reports every
-        # install/remove through the ``on_entry_*`` hooks and only the
-        # cached packets the mutated rule could match are evicted — an
-        # install consults the src/dst groups its exact conditions select,
-        # a removal evicts exactly the packets whose cached winner it was.
-        # In coarse mode validity is keyed on the table's generation
-        # counter instead, so *any* mutation — install, delete, idle/hard
-        # expiry, clear — invalidates the whole cache at the next packet.
-        # See docs/performance.md ("Revalidation").
-        self.microflow_surgical = microflow_surgical
+        # (or None for a known drop). The cache is revalidated per entry:
+        # the flow table reports every install/remove through the
+        # ``on_entry_*`` hooks and only the cached packets the mutated rule
+        # could match are evicted — an install consults the src/dst groups
+        # its exact conditions select, a removal evicts exactly the packets
+        # whose cached winner it was. See docs/performance.md
+        # ("Revalidation").
         self._microflow: Dict[MicroflowKey, Optional[FlowEntry]] = {}
-        self._microflow_generation = -1
         self.microflow_hits = 0
         self.microflow_misses = 0
-        #: surgical-eviction accounting (coarse generation flushes and
-        #: capacity flushes count as flushes in either mode)
+        #: per-entry evictions vs. wholesale flushes (capacity overflow, or
+        #: an installed rule exact in neither src nor dst)
         self.mf_evictions = 0
         self.mf_flushes = 0
-        # Secondary indices over the cache, maintained only in surgical
-        # mode: cache keys grouped by the packet's exact ipv4_src/ipv4_dst
-        # (mirroring the FlowTable's bucket keys, so a mutated rule's exact
-        # conditions select the candidate group directly), plus the reverse
-        # map from a winning entry to the keys it answers. Values are
-        # insertion-ordered key->None dicts so eviction order is
-        # deterministic.
+        # Secondary indices over the cache: cache keys grouped by the
+        # packet's exact ipv4_src/ipv4_dst (mirroring the FlowTable's
+        # bucket keys, so a mutated rule's exact conditions select the
+        # candidate group directly), plus the reverse map from a winning
+        # entry to the keys it answers. Values are insertion-ordered
+        # key->None dicts so eviction order is deterministic.
         self._mf_by_src: Dict[Any, Dict[MicroflowKey, None]] = {}
         self._mf_by_dst: Dict[Any, Dict[MicroflowKey, None]] = {}
         self._mf_by_entry: Dict[FlowEntry, Dict[MicroflowKey, None]] = {}
-        if microflow_surgical:
-            self.table.on_entry_installed = self._mf_rule_installed
-            self.table.on_entry_removed = self._mf_rule_removed
+        self.table.on_entry_installed = self._mf_rule_installed
+        self.table.on_entry_removed = self._mf_rule_removed
 
     # -------------------------------------------------------------- control
 
@@ -211,13 +196,8 @@ class OpenFlowSwitch(Device):
         # Microflow fast path: exact-packet memo of the table's answer.
         # ``extract_fields`` builds the dict in one deterministic key order
         # per packet shape, so the items tuple is a canonical cache key.
-        # Surgical mode keeps the cache valid incrementally (table hooks
-        # evict exactly the affected packets); coarse mode revalidates here
-        # against the table's generation counter.
-        if (not self.microflow_surgical
-                and self._microflow_generation != self.table.generation):
-            self._mf_flush()
-            self._microflow_generation = self.table.generation
+        # The table hooks keep the cache valid incrementally, so a cached
+        # answer needs no check here.
         key = tuple(fields.items())
         entry = self._microflow.get(key, _MISS)
         if entry is _MISS:
@@ -227,11 +207,10 @@ class OpenFlowSwitch(Device):
             if len(self._microflow) >= MICROFLOW_CACHE_CAPACITY:
                 self._mf_flush()
             self._microflow[key] = entry
-            if self.microflow_surgical:
-                self._mf_by_src.setdefault(fields.get("ipv4_src"), {})[key] = None
-                self._mf_by_dst.setdefault(fields.get("ipv4_dst"), {})[key] = None
-                if entry is not None:
-                    self._mf_by_entry.setdefault(entry, {})[key] = None
+            self._mf_by_src.setdefault(fields.get("ipv4_src"), {})[key] = None
+            self._mf_by_dst.setdefault(fields.get("ipv4_dst"), {})[key] = None
+            if entry is not None:
+                self._mf_by_entry.setdefault(entry, {})[key] = None
         else:
             self.microflow_hits += 1
             PERF.microflow_hits += 1
@@ -248,12 +227,12 @@ class OpenFlowSwitch(Device):
     # ------------------------------------------- microflow cache revalidation
 
     def _mf_flush(self) -> None:
-        """Drop every cached microflow (capacity overflow, coarse mode)."""
+        """Drop every cached microflow (capacity overflow, catch-all rule)."""
         if self._microflow:
             self.mf_flushes += 1
             PERF.microflow_flushes += 1
         # The flush *is* this layer's revalidation action (capacity bound /
-        # coarse differential oracle), not a generation-keyed shortcut.
+        # a rule that can match any packet), not a generation-keyed shortcut.
         self._microflow.clear()  # repro: noqa[REP009]
         self._mf_by_src.clear()
         self._mf_by_dst.clear()
@@ -496,10 +475,8 @@ class OpenFlowSwitch(Device):
             "flows": len(self.table),
             "shadowed_rules": self.table.shadowed_count(),
             "microflow_entries": len(self._microflow),
-            "microflow_surgical": self.microflow_surgical,
             "mf_evictions": self.mf_evictions,
             "mf_flushes": self.mf_flushes,
-            "microflow_generation": self._microflow_generation,
             "table_generation": self.table.generation,
             "controller_alive": self.controller_alive,
             "controller_outages_detected": self.controller_outages_detected,

@@ -115,7 +115,6 @@ def plant_loop(snapshot: NetworkSnapshot) -> NetworkSnapshot:
         swap=(rule, _replace_output(rule, _LOOP_PORT)))
     ghost = SwitchView(
         dpid=_GHOST_DPID, name="ghost", generation=1,
-        microflow_generation=-1,
         rules=(RuleView(match=rewritten, priority=rule.priority, seq=1,
                         cookie=rule.cookie, flags=0,
                         actions=(OutputAction(1),)),),

@@ -53,7 +53,6 @@ class SwitchView:
     dpid: int
     name: str
     generation: int
-    microflow_generation: int
     #: rules in flow-table order (descending priority, ascending seq)
     rules: Tuple[RuleView, ...]
     #: descriptors of microflow-cache entries that a table mutation should
@@ -217,45 +216,23 @@ def _switch_view(switch: Any) -> SwitchView:
     stale = _stale_cache(switch, table)
     return SwitchView(dpid=switch.dpid, name=switch.name,
                       generation=table.generation,
-                      microflow_generation=switch._microflow_generation,
                       rules=rules, stale_cache=stale)
 
 
 def _stale_cache(switch: Any, table: Any) -> Tuple[str, ...]:
     """Microflow-cache entries that should have been invalidated.
 
-    Surgical mode (the default) claims the cache is *always* current —
-    eviction hooks fire inside every table mutation — so every cached
-    answer, positive or negative, is audited against the table's
-    counter-free reference scan (``lookup_linear``, so the audit cannot
-    perturb lookup statistics).
-
-    In coarse mode the cache is invalidated *lazily* — ``on_frame``
-    flushes it when the table generation moved — so a generation mismatch
-    at snapshot time is benign. The corruption the verifier hunts there is
-    the opposite case: the cache claims to be current (generations equal)
-    while holding an answer the table no longer gives — a removed entry,
-    or an entry object the table has since replaced at the same
-    (match, priority) slot.
+    The switch claims its cache is *always* current — eviction hooks fire
+    inside every table mutation — so every cached answer, positive or
+    negative, is audited against the table's counter-free reference scan
+    (``lookup_linear``, so the audit cannot perturb lookup statistics).
     """
     stale = []
-    if getattr(switch, "microflow_surgical", False):
-        for key in sorted(switch._microflow, key=repr):
-            entry = switch._microflow[key]
-            live = table.lookup_linear(dict(key))
-            if live is not entry:
-                priority = "drop" if entry is None else f"p{entry.priority}"
-                stale.append(f"{dict(key)!r}->{priority}")
-        return tuple(stale)
-    if switch._microflow_generation != table.generation:
-        return ()
     for key in sorted(switch._microflow, key=repr):
         entry = switch._microflow[key]
-        if entry is None:
-            continue  # a cached drop can only be wrong if the table mutated
-        if entry.removed or table._match_index.get(
-                (entry.match, entry.priority)) is not entry:
-            stale.append(f"{dict(key)!r}->p{entry.priority}")
+        if table.lookup_linear(dict(key)) is not entry:
+            priority = "drop" if entry is None else f"p{entry.priority}"
+            stale.append(f"{dict(key)!r}->{priority}")
     return tuple(stale)
 
 

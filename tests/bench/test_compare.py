@@ -15,13 +15,11 @@ from repro.bench.compare import (
 )
 
 
-def _record(schema="repro-bench/2", **benchmarks):
-    record = {"schema": schema, "pr": 5, "smoke": True,
-              "benchmarks": benchmarks}
-    if schema == "repro-bench/2":
-        record["meta"] = {"git_commit": "deadbeef",
-                          "flow_table_entries": {"packet_path": 1000}}
-    return record
+def _record(**benchmarks):
+    return {"schema": "repro-bench/2", "pr": 5, "smoke": True,
+            "benchmarks": benchmarks,
+            "meta": {"git_commit": "deadbeef",
+                     "flow_table_entries": {"packet_path": 1000}}}
 
 
 def _write(tmp_path, name, record):
@@ -37,17 +35,9 @@ class TestLoadRecord:
         record = load_record(path)
         assert record["meta"]["git_commit"] == "deadbeef"
 
-    def test_v1_backward_compatible(self, tmp_path):
-        """A BENCH_4-era record has no meta block; the reader normalizes."""
-        path = _write(tmp_path, "old.json",
-                      _record(schema="repro-bench/1",
-                              alpha={"us_per_op": 1.0}))
-        record = load_record(path)
-        assert record["meta"] == {}
-        assert flatten_metrics(record) == {"alpha.us_per_op": 1.0}
-
-    def test_unknown_schema_rejected(self, tmp_path):
-        path = _write(tmp_path, "bad.json", {"schema": "repro-bench/99"})
+    @pytest.mark.parametrize("schema", ["repro-bench/1", "repro-bench/99"])
+    def test_unknown_schema_rejected(self, tmp_path, schema):
+        path = _write(tmp_path, "bad.json", {"schema": schema})
         with pytest.raises(ValueError, match="unknown bench schema"):
             load_record(path)
 
@@ -121,7 +111,7 @@ class TestDirtyMeta:
 
     def test_clean_and_unknown_meta_pass(self):
         assert dirty_meta_failures(_record(alpha={"us_per_op": 1.0})) == []
-        # git_dirty=None (outside a checkout) and v1 records (no meta) pass
+        # git_dirty=None (outside a checkout) and an empty meta block pass
         record = _record(alpha={"us_per_op": 1.0})
         record["meta"]["git_dirty"] = None
         assert dirty_meta_failures(record) == []

@@ -1,23 +1,45 @@
 """Slow-path memoization must be invisible to packet disposition.
 
-The controller memoizes its per-``(client, service, cluster)`` slow path —
-registry hit, dispatch decision, install plan — behind generation-counter
-invalidation (:attr:`ControllerConfig.memoize_slow_path`). These tests run
-the *same randomized scenario twice*, memo on vs. off, and require the two
-runs to be indistinguishable from the outside: identical trace streams
-(every flow install, packet-out and app log in the same order at the same
-simulated times), identical installed flows, identical client timings.
-Only the memo-internal counters (``plan_hits``/``plan_misses``/…) may
-differ.
+The controller memoizes its packet-in slow path — the registry decision and
+the computed install plan — in two :class:`RevalidatingCache` instances.
+These tests run the *same randomized scenario twice*: normally, and with
+both memos swapped for an always-miss oracle (``tests/core/memo_standin``),
+so every decision is recomputed by the code that actually runs on a miss.
+The two runs must be indistinguishable from the outside: identical trace
+streams (every flow install, packet-out and app log in the same order at
+the same simulated times), identical installed flows, identical client
+timings. Only the memo-internal counters (``plan_hits``/``plan_misses``)
+may differ.
+
+The scenario interleaves *unrelated* churn — a cloud-prefix service
+registering/deregistering, a foreign client's FlowMemory entry being
+overwritten — so the memos answer from the revalidate tier (generation
+moved, this key's token did not), not only from O(1) hits.
 """
 
 import random
 
+import pytest
+
 from repro.experiments import build_testbed
+from repro.metrics.perf import PERF
+from repro.netsim.addresses import IPv4
 from repro.simcore import TraceLog
+from repro.workloads.cloudprefix import (
+    synth_cloud_prefixes,
+    synth_service_ids,
+    synthetic_service,
+)
+
+from tests.core.memo_standin import disable_memos
 
 #: stats keys that exist only to observe the memo itself
 MEMO_ONLY_STATS = ("slow_path_plan_hits", "slow_path_plan_misses")
+
+#: churn identities: a synthetic cloud-supernet service and an RFC 2544
+#: address that is never a host — provably unrelated to the hot flows
+CHURN_SID = synth_service_ids(12, 1, synth_cloud_prefixes(seed=11, count=16))[0]
+FOREIGN_CLIENT = IPv4("198.18.0.1")
 
 
 def _flow_snapshot(tb):
@@ -36,27 +58,36 @@ def _run_scenario(memoize: bool, seed: int):
     tb = build_testbed(seed=seed, n_clients=4, cluster_types=("docker",),
                        switch_idle_timeout_s=0.8, memory_idle_timeout_s=2.5,
                        trace=trace)
-    tb.controller.cfg.memoize_slow_path = memoize
+    if not memoize:
+        disable_memos(tb.controller)
     svc = tb.register_catalog_service("nginx")
+    registry, memory = tb.controller.registry, tb.controller.memory
+    cluster = tb.clusters["docker-egs"]
+
+    def churn():
+        if CHURN_SID in registry:
+            registry.deregister(CHURN_SID)
+        else:
+            registry.register_service(synthetic_service(CHURN_SID))
+        endpoint = cluster.endpoint(svc.spec)
+        if endpoint is not None:
+            memory.remember(FOREIGN_CLIENT, svc.service_id, cluster, endpoint)
 
     # Randomized but seed-determined schedule. The gap choices straddle both
     # idle timeouts, so the same (client, service) pair repeatedly re-enters
     # the slow path via every route: pending coalescing, FlowMemory hit,
-    # memory expiry, full dispatch.
+    # memory expiry, full dispatch — each preceded by a churn event.
     rng = random.Random(seed * 7919 + 17)
     t = 0.05
-    fetches = []
-    for _ in range(24):
-        client = rng.randrange(4)
-        fetches.append((t, client))
-        t += rng.choice((0.005, 0.05, 0.4, 1.0, 3.1))
-
     results = []
-    for when, client_index in fetches:
-        def start(index=client_index):
+    for _ in range(24):
+        def start(index=rng.randrange(4)):
             results.append(tb.client(index).fetch(
                 svc.service_id.addr, svc.service_id.port))
-        tb.sim.schedule_at(when, start)
+        tb.sim.schedule_at(t - 0.001, churn)
+        tb.sim.schedule_at(t, start)
+        t += rng.choice((0.005, 0.05, 0.4, 1.0, 3.1))
+    revalidations = PERF.memo_revalidations
     tb.run(until=t + 30.0)
     mid_flows = _flow_snapshot(tb)
     tb.run()  # quiescence: all idle timers fire
@@ -65,6 +96,7 @@ def _run_scenario(memoize: bool, seed: int):
     assert all(timing.ok for timing in timings), timings
     stats = dict(tb.controller.stats)
     memo_stats = {k: stats.pop(k, 0) for k in MEMO_ONLY_STATS}
+    memo_stats["revalidations"] = PERF.memo_revalidations - revalidations
     return {
         "trace": [str(record) for record in trace.records],
         "mid_flows": mid_flows,
@@ -79,10 +111,11 @@ def _run_scenario(memoize: bool, seed: int):
 
 
 class TestMemoizationInvisibility:
-    def test_differential_memo_on_off(self):
+    @pytest.mark.parametrize("seed", [11, 29])
+    def test_differential_memoized_vs_always_miss(self, seed):
         """Byte-for-byte identical externally observable behavior."""
-        on = _run_scenario(memoize=True, seed=11)
-        off = _run_scenario(memoize=False, seed=11)
+        on = _run_scenario(memoize=True, seed=seed)
+        off = _run_scenario(memoize=False, seed=seed)
         assert on["trace"] == off["trace"]
         assert on["mid_flows"] == off["mid_flows"]
         assert on["final_flows"] == off["final_flows"]
@@ -92,16 +125,12 @@ class TestMemoizationInvisibility:
         assert on["tx_frames"] == off["tx_frames"]
 
     def test_memo_actually_engages(self):
-        """The memo isn't vacuous: repeated slow-path visits hit the cache
-        when on, and never do when off."""
+        """The differential isn't vacuous: the memoized run answers from
+        the cache — through the revalidate tier, since churn precedes
+        every fetch — and the oracle run never does."""
         on = _run_scenario(memoize=True, seed=11)
         off = _run_scenario(memoize=False, seed=11)
         assert on["memo_stats"]["slow_path_plan_hits"] > 0
+        assert on["memo_stats"]["revalidations"] > 0
         assert off["memo_stats"]["slow_path_plan_hits"] == 0
-
-    def test_differential_other_seed(self):
-        on = _run_scenario(memoize=True, seed=29)
-        off = _run_scenario(memoize=False, seed=29)
-        assert on["trace"] == off["trace"]
-        assert on["final_flows"] == off["final_flows"]
-        assert on["timings"] == off["timings"]
+        assert off["memo_stats"]["revalidations"] == 0

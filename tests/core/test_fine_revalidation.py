@@ -1,28 +1,26 @@
-"""Controller-side fine-grained revalidation: per-key tokens, not flushes.
+"""Controller-side per-key revalidation: tokens, not flushes.
 
 Three layers under test:
 
 * :class:`repro.core.revalidation.RevalidatingCache` — the generic per-key
   revalidation memo, in isolation;
-* the controller's service memo + plan epoch — unrelated churn (registry,
-  FlowMemory, other clusters) must leave memoized plans warm, where the
-  coarse discipline (``fine_grained_revalidation=False``, the differential
-  oracle) colds everything;
+* the controller's two instances of it (service memo, install-plan memo) —
+  unrelated churn (registry, FlowMemory, other clusters) must leave
+  memoized answers warm, relevant churn must drop exactly the affected
+  entry, and every outcome must reach the ``PERF.memo_*`` counters;
 * the FlowMemory idle-expiry regression: one client's flow idling out used
   to bump the global generation and invalidate *every* memoized install
   plan — with per-key versions only that client's plan re-misses.
 
-And one invisibility differential mirroring test_controller_memoization:
-fine vs coarse must be byte-identical from the outside.
+That the memos are invisible from the outside is proven differentially in
+``test_controller_memoization.py``.
 """
-
-import random
 
 import pytest
 
 from repro.core.revalidation import RevalidatingCache
 from repro.experiments import build_testbed
-from repro.simcore import TraceLog
+from repro.metrics.perf import PERF
 
 
 # ------------------------------------------------------- RevalidatingCache
@@ -35,7 +33,7 @@ class TestRevalidatingCache:
 
     def make(self, capacity=4096):
         return RevalidatingCache(token_of=lambda key: self.tokens.get(key, 0),
-                                 generation_of=lambda: self.generation,
+                                 generation_of=lambda key: self.generation,
                                  capacity=capacity)
 
     def test_hit_without_token_recompute_while_generation_still(self):
@@ -87,16 +85,14 @@ class TestRevalidatingCache:
 # ------------------------------------------------- controller-level behaviour
 
 
-def make_tb(fine, seed=3, **kwargs):
-    tb = build_testbed(seed=seed, n_clients=4, cluster_types=("docker",),
-                       **kwargs)
-    tb.controller.cfg.fine_grained_revalidation = fine
-    return tb
+def make_tb(seed=3, **kwargs):
+    return build_testbed(seed=seed, n_clients=4, cluster_types=("docker",),
+                         **kwargs)
 
 
 class TestServiceMemoUnderChurn:
     def test_unrelated_registry_churn_keeps_service_memo_warm(self):
-        tb = make_tb(fine=True)
+        tb = make_tb()
         svc = tb.register_catalog_service("nginx")
         tb.client(0).fetch(svc.service_id.addr, svc.service_id.port)
         tb.run()
@@ -112,7 +108,7 @@ class TestServiceMemoUnderChurn:
         assert after["hits"] > before["hits"]
 
     def test_relevant_deregister_invalidates_the_memo_entry(self):
-        tb = make_tb(fine=True)
+        tb = make_tb()
         svc = tb.register_catalog_service("nginx")
         tb.client(0).fetch(svc.service_id.addr, svc.service_id.port)
         tb.run()
@@ -125,13 +121,13 @@ class TestServiceMemoUnderChurn:
 class TestIdleExpiryRegression:
     """One client's FlowMemory expiry must not cold every other plan.
 
-    This was the headline coarse-mode pathology: ``FlowMemory`` bumps its
-    global generation on *every* mutation — including the idle expiry of a
-    single (client, service) flow — and the plan epoch pinned that global,
-    so any expiry anywhere invalidated all memoized install plans.
+    ``FlowMemory`` bumps its global generation on *every* mutation —
+    including the idle expiry of a single (client, service) flow. A plan
+    validity pinned to that global would be invalidated by any expiry
+    anywhere; the per-key token only sees this pair's own version.
     """
 
-    def _expiry_scenario(self, fine):
+    def test_plan_stays_warm_across_foreign_expiry(self):
         # Switch flows idle out fast; FlowMemory holds longer. After a
         # cold-deploy warm-up, client 0 re-misses repeatedly — each refetch
         # lands after the switch flow expired but inside the memory
@@ -139,8 +135,7 @@ class TestIdleExpiryRegression:
         # the memoized install plan. Client 1 fetches once and goes quiet:
         # its memory entry idles out between client 0's re-misses at
         # +1.9 and +2.8.
-        tb = make_tb(fine=fine, switch_idle_timeout_s=0.4,
-                     memory_idle_timeout_s=2.0)
+        tb = make_tb(switch_idle_timeout_s=0.4, memory_idle_timeout_s=2.0)
         svc = tb.register_catalog_service("nginx")
         addr, port = svc.service_id.addr, svc.service_id.port
         tb.client(0).fetch(addr, port)
@@ -152,78 +147,73 @@ class TestIdleExpiryRegression:
         tb.run()
         assert tb.controller.stats["service_hits_memory"] >= 3
         assert tb.controller.memory.expirations >= 1
-        return dict(tb.controller.stats)
-
-    def test_fine_mode_keeps_plan_warm_across_foreign_expiry(self):
         # +1.0 (client 1's remember is foreign churn), +1.9 (quiet), and
         # +2.8 (client 1's expiry is foreign churn) all reuse the plan.
-        stats = self._expiry_scenario(fine=True)
-        assert stats["slow_path_plan_hits"] == 3
-
-    def test_coarse_oracle_documents_the_old_cost(self):
-        """The regression this PR fixes, pinned as the oracle's behaviour:
-        under the same schedule the coarse epoch sees the foreign
-        remember/expiry churn and re-misses on all but the quiet window."""
-        fine = self._expiry_scenario(fine=True)
-        coarse = self._expiry_scenario(fine=False)
-        assert coarse["slow_path_plan_hits"] == 1
-        assert coarse["slow_path_plan_hits"] < fine["slow_path_plan_hits"]
+        assert tb.controller.stats["slow_path_plan_hits"] == 3
 
 
-# ------------------------------------------------------ invisibility differential
+class TestPlanMemoAccounting:
+    """The install-plan memo is a ``RevalidatingCache`` like the service
+    memo, so its invalidations and flushes reach ``PERF`` and a plan that
+    fails revalidation is dropped, not left resident."""
 
+    def _warm(self, **kwargs):
+        """A testbed whose client 0 has a resident, once-reused plan."""
+        tb = make_tb(switch_idle_timeout_s=0.4, memory_idle_timeout_s=60.0,
+                     **kwargs)
+        svc = tb.register_catalog_service("nginx")
+        self.refetch(tb, svc)  # dispatch + plan miss
+        self.refetch(tb, svc)  # FlowMemory re-miss + plan hit
+        assert tb.controller.stats["slow_path_plan_hits"] == 1
+        assert len(tb.controller._plan_memo) == 1
+        return tb, svc
 
-def _run_scenario(fine: bool, seed: int):
-    """Mirrors test_controller_memoization: same randomized run, fine vs
-    coarse revalidation, everything observable captured."""
-    trace = TraceLog(enabled=True)
-    tb = build_testbed(seed=seed, n_clients=4, cluster_types=("docker",),
-                       switch_idle_timeout_s=0.8, memory_idle_timeout_s=2.5,
-                       trace=trace)
-    tb.controller.cfg.fine_grained_revalidation = fine
-    svc = tb.register_catalog_service("nginx")
+    @staticmethod
+    def refetch(tb, svc, client=0):
+        """Fetch, then wait out the switch idle timeout (not FlowMemory's)."""
+        tb.client(client).fetch(svc.service_id.addr, svc.service_id.port)
+        tb.run(until=tb.sim.now + 5.0)
 
-    rng = random.Random(seed * 6271 + 5)
-    t = 0.05
-    for _ in range(24):
-        client = rng.randrange(4)
-        when = t
+    def test_relevant_churn_invalidates_and_counts(self):
+        tb, svc = self._warm()
+        ctrl = tb.controller
+        client_ip = tb.clients[0].ip
+        ctrl.hosts[client_ip] = ctrl.hosts[client_ip]  # re-stamp the key
+        before = PERF.memo_invalidations
+        self.refetch(tb, svc)
+        assert ctrl._plan_memo.stats()["invalidations"] == 1
+        assert PERF.memo_invalidations == before + 1
+        assert ctrl.stats["slow_path_plan_hits"] == 1  # recomputed, not reused
+        assert len(ctrl._plan_memo) == 1  # the rebuilt plan took its place
 
-        def start(index=client, at=when):
-            tb.client(index).fetch(svc.service_id.addr, svc.service_id.port)
+    def test_plan_failing_revalidation_is_not_left_resident(self):
+        tb, svc = self._warm()
+        ctrl = tb.controller
+        client_ip = tb.clients[0].ip
+        ctrl.hosts[client_ip] = ctrl.hosts[client_ip]
+        ctrl.cluster_attachments.clear()  # the rebuild now yields no plan
+        failures = ctrl.stats["dispatch_failures"]
+        self.refetch(tb, svc)
+        assert ctrl.stats["dispatch_failures"] > failures  # SYN retries too
+        assert len(ctrl._plan_memo) == 0
 
-        tb.sim.schedule_at(when, start)
-        t += rng.choice((0.005, 0.05, 0.4, 1.0, 3.1))
-    tb.run(until=t + 30.0)
-    tb.run()
+    def test_capacity_flush_counts(self):
+        tb, svc = self._warm()
+        ctrl = tb.controller
+        ctrl._plan_memo = RevalidatingCache(
+            token_of=ctrl._plan_token, generation_of=ctrl._plan_generation,
+            capacity=2)
+        before = PERF.memo_flushes
+        for client in (0, 1, 2):
+            self.refetch(tb, svc, client)
+        assert ctrl._plan_memo.stats()["flushes"] == 1
+        assert PERF.memo_flushes == before + 1
 
-    stats = dict(tb.controller.stats)
-    memo_stats = {k: stats.pop(k, 0)
-                  for k in ("slow_path_plan_hits", "slow_path_plan_misses")}
-    return {
-        "trace": [str(record) for record in trace.records],
-        "flows": [(str(e.match), e.priority, e.cookie)
-                  for e in tb.switch.table.entries],
-        "stats": stats,
-        "memo_stats": memo_stats,
-        "packet_ins": tb.switch.packet_ins,
-        "tx_frames": tb.switch.tx_frames,
-    }
-
-
-class TestFineCoarseInvisibility:
-    @pytest.mark.parametrize("seed", [11, 29])
-    def test_differential_fine_vs_coarse(self, seed):
-        fine = _run_scenario(fine=True, seed=seed)
-        coarse = _run_scenario(fine=False, seed=seed)
-        assert fine["trace"] == coarse["trace"]
-        assert fine["flows"] == coarse["flows"]
-        assert fine["stats"] == coarse["stats"]
-        assert fine["packet_ins"] == coarse["packet_ins"]
-        assert fine["tx_frames"] == coarse["tx_frames"]
-
-    def test_fine_mode_hits_at_least_as_often(self):
-        fine = _run_scenario(fine=True, seed=11)
-        coarse = _run_scenario(fine=False, seed=11)
-        assert fine["memo_stats"]["slow_path_plan_hits"] >= \
-            coarse["memo_stats"]["slow_path_plan_hits"]
+    def test_crash_reset_flushes_both_memos(self):
+        tb, _svc = self._warm()
+        ctrl = tb.controller
+        assert len(ctrl._service_memo) > 0
+        before = PERF.memo_flushes
+        ctrl.on_crash()
+        assert len(ctrl._plan_memo) == len(ctrl._service_memo) == 0
+        assert PERF.memo_flushes == before + 2

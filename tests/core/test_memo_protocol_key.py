@@ -14,15 +14,13 @@ from repro.netsim.addresses import ip
 ADDR = ip("198.51.100.40")
 
 
-def make_tb(memoize: bool):
-    tb = build_testbed(seed=13, n_clients=1, cluster_types=("docker",))
-    tb.controller.cfg.memoize_slow_path = memoize
-    return tb
+def make_tb():
+    return build_testbed(seed=13, n_clients=1, cluster_types=("docker",))
 
 
 class TestServiceMemoProtocolKey:
     def test_tcp_and_udp_on_same_addr_port_are_distinct(self):
-        tb = make_tb(memoize=True)
+        tb = make_tb()
         registry = tb.controller.registry
         tcp = registry.register(ServiceID(ADDR, 80, "TCP"), image="nginx:1.23.2")
         udp = registry.register(ServiceID(ADDR, 80, "UDP"), image="nginx:1.23.2")
@@ -31,7 +29,7 @@ class TestServiceMemoProtocolKey:
         assert tb.controller.service_decision(ADDR, 80, "TCP") is tcp
         assert tb.controller.service_decision(ADDR, 80, "UDP") is udp
         # And the reverse priming order.
-        tb2 = make_tb(memoize=True)
+        tb2 = make_tb()
         registry2 = tb2.controller.registry
         tcp2 = registry2.register(ServiceID(ADDR, 80, "TCP"), image="nginx:1.23.2")
         udp2 = registry2.register(ServiceID(ADDR, 80, "UDP"), image="nginx:1.23.2")
@@ -39,7 +37,7 @@ class TestServiceMemoProtocolKey:
         assert tb2.controller.service_decision(ADDR, 80, "TCP") is tcp2
 
     def test_negative_memo_does_not_leak_across_protocols(self):
-        tb = make_tb(memoize=True)
+        tb = make_tb()
         registry = tb.controller.registry
         tcp = registry.register(ServiceID(ADDR, 80, "TCP"), image="nginx:1.23.2")
         # Cache a UDP miss, then make sure TCP still resolves (and the miss
@@ -48,26 +46,25 @@ class TestServiceMemoProtocolKey:
         assert tb.controller.service_decision(ADDR, 80, "TCP") is tcp
         assert tb.controller.service_decision(ADDR, 80, "UDP") is None
 
-    def test_memoized_matches_unmemoized_over_identity_grid(self):
-        """Differential: memo on vs. off must answer identically for every
-        (addr, port, protocol) combination around the registered set."""
-        on, off = make_tb(memoize=True), make_tb(memoize=False)
-        for tb in (on, off):
-            registry = tb.controller.registry
-            registry.register(ServiceID(ADDR, 80, "TCP"), image="nginx:1.23.2")
-            registry.register(ServiceID(ADDR, 80, "UDP"), image="nginx:1.23.2")
-            registry.register(ServiceID(ADDR, 443, "TCP"), image="nginx:1.23.2")
-        for addr in (ADDR, ip("198.51.100.41")):
-            for port in (80, 443, 8080):
-                for protocol in ("TCP", "UDP"):
-                    got = on.controller.service_decision(addr, port, protocol)
-                    want = off.controller.service_decision(addr, port, protocol)
-                    got_id = None if got is None else got.service_id
-                    want_id = None if want is None else want.service_id
-                    assert got_id == want_id, (addr, port, protocol)
+    def test_memoized_matches_registry_over_identity_grid(self):
+        """Differential: the memoized decision must equal the live registry
+        lookup (its own miss path) for every (addr, port, protocol)
+        combination around the registered set, first ask and repeat."""
+        tb = make_tb()
+        registry = tb.controller.registry
+        registry.register(ServiceID(ADDR, 80, "TCP"), image="nginx:1.23.2")
+        registry.register(ServiceID(ADDR, 80, "UDP"), image="nginx:1.23.2")
+        registry.register(ServiceID(ADDR, 443, "TCP"), image="nginx:1.23.2")
+        for _ask in range(2):
+            for addr in (ADDR, ip("198.51.100.41")):
+                for port in (80, 443, 8080):
+                    for protocol in ("TCP", "UDP"):
+                        got = tb.controller.service_decision(addr, port, protocol)
+                        want = registry.lookup_prefix(addr, port, protocol)
+                        assert got is want, (addr, port, protocol)
 
     def test_generation_bump_invalidates_stale_answers(self):
-        tb = make_tb(memoize=True)
+        tb = make_tb()
         registry = tb.controller.registry
         assert tb.controller.service_decision(ADDR, 80, "UDP") is None
         udp = registry.register(ServiceID(ADDR, 80, "UDP"), image="nginx:1.23.2")
