@@ -1,4 +1,4 @@
-"""The determinism rule set (``REP001``..``REP009``).
+"""The determinism rule set (``REP001``..``REP010``).
 
 Each rule is a small AST visitor registered in :data:`RULES`. Rules are
 deliberately *repo-specific*: they encode the determinism contract of
@@ -525,6 +525,53 @@ class NoWholesaleMemoFlush(Rule):
                 yield node, (f"wholesale `.clear()` of memo container "
                              f"`{name}` — evict per key (or go through the "
                              f"revalidation layer in repro.core.revalidation)")
+
+
+# ---------------------------------------------------------------------------
+# REP010 — writes to the simulation clock
+# ---------------------------------------------------------------------------
+
+
+@register
+class NoSimClockWrite(Rule):
+    """Only the event loop advances ``Simulator.now``."""
+
+    code = "REP010"
+    name = "no-sim-clock-write"
+    rationale = ("Simulator.now is a plain attribute (every layer reads it "
+                 "per frame, so a property call was the kernel's second "
+                 "largest cost) and nothing stops a stray store; the clock "
+                 "has one writer, the loop in repro/simcore/loop.py, and "
+                 "everything else moves time by scheduling an event")
+
+    #: the one module that advances the clock
+    ALLOWED = "repro/simcore/loop.py"
+
+    def _clock_stores(self, target: ast.AST) -> Iterator[ast.Attribute]:
+        if isinstance(target, ast.Attribute):
+            if target.attr == "now":
+                yield target
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                yield from self._clock_stores(element)
+        elif isinstance(target, ast.Starred):
+            yield from self._clock_stores(target.value)
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if self.ALLOWED in ctx.path.replace("\\", "/"):
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for store in self._clock_stores(target):
+                    yield store, ("store to a `.now` attribute — the "
+                                  "simulation clock is written only by the "
+                                  "event loop; schedule an event instead")
 
 
 def iter_rule_docs() -> Iterable[str]:

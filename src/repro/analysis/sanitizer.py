@@ -18,7 +18,10 @@ Checks
 * **Event-loop order audit** — every event executed by a
   :class:`~repro.simcore.loop.Simulator` must be strictly later in
   ``(time, seq)`` than the previous one (FIFO same-time ordering is
-  load-bearing) and never before the current clock.
+  load-bearing) and never before the current clock. The production
+  ``run()`` pops inline, so the sanitizer swaps in a ``run`` of its own that
+  drives the loop through ``peek()``/``step()`` and audits each
+  ``_pop_alive`` — the method call per event is paid only when sanitizing.
 * **Finite delays** — ``schedule()`` rejects NaN/inf delays, which the
   plain heap would silently misplace.
 * **FlowMemory referential integrity** — after every mutation, each entry's
@@ -127,9 +130,13 @@ class Sanitizer:
     # ----------------------------------------------------- simulator checks
 
     def _install_simulator(self, simulator_cls: type) -> None:
+        from repro.metrics.perf import PERF
+        from repro.simcore.errors import SimulatorReentryError
+
         sanitizer = self
         orig_schedule = simulator_cls.schedule
         orig_pop = simulator_cls._pop_alive
+        orig_run = simulator_cls.run
 
         def schedule(sim: Any, delay: float, callback: Callable[..., Any],
                      *args: Any) -> Any:
@@ -158,8 +165,27 @@ class Sanitizer:
                 sanitizer._last_event[sim] = key
             return handle
 
+        def run(sim: Any, until: Optional[float] = None) -> float:
+            if sim._running:
+                raise SimulatorReentryError("Simulator.run() is not re-entrant")
+            sim._running = True
+            executed_before = sim.events_executed
+            try:
+                while True:
+                    when = sim.peek()
+                    if when is None or (until is not None and when > until):
+                        break
+                    sim.step()
+            finally:
+                sim._running = False
+                PERF.events_executed += sim.events_executed - executed_before
+            # Nothing due is left, so the real run() executes no event: it
+            # only advances the clock to ``until`` (the clock has one writer).
+            return orig_run(sim, until)
+
         self._patch(simulator_cls, "schedule", schedule)
         self._patch(simulator_cls, "_pop_alive", _pop_alive)
+        self._patch(simulator_cls, "run", run)
 
     # ----------------------------------------------------------- RNG ledger
 

@@ -48,8 +48,9 @@ class Device:
     def transmit(self, port_no: int, frame: EthernetFrame) -> None:
         """Send ``frame`` out of ``port_no`` (drops silently on an unwired
         port, mirroring a real NIC with no carrier)."""
-        link = self.links.get(port_no)
-        if link is None:
+        try:
+            link = self.links[port_no]
+        except KeyError:
             self.sim.trace.emit(self.sim.now, "net", "tx-drop",
                                 {"device": self.name, "port": port_no})
             return

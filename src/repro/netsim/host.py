@@ -29,7 +29,11 @@ from repro.netsim.packet import (
     ETH_TYPE_IP,
     IP_PROTO_TCP,
     IP_PROTO_UDP,
+    TCP_FIN_ACK,
     TCP_MSS,
+    TCP_PSH_ACK,
+    TCP_RST_ACK,
+    TCP_SYN_ACK,
     ArpOp,
     ArpPacket,
     EthernetFrame,
@@ -40,6 +44,7 @@ from repro.netsim.packet import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.netsim.link import Link
     from repro.simcore import Signal, Simulator
 
 
@@ -80,6 +85,13 @@ EPHEMERAL_PORT_START = 40000
 #: ARP request retransmission interval and budget.
 ARP_RETRY_INTERVAL = 1.0
 ARP_MAX_RETRIES = 60
+
+#: Flag bits as plain ints: the receive path tests several per segment, and
+#: ``&`` on two ``TCPFlags`` members goes through the enum machinery.
+_FIN = int(TCPFlags.FIN)
+_SYN = int(TCPFlags.SYN)
+_RST = int(TCPFlags.RST)
+_ACK = int(TCPFlags.ACK)
 
 
 class Connection:
@@ -180,7 +192,7 @@ class Connection:
             remaining -= chunk
             last = remaining == 0
             self._emit(
-                TCPFlags.ACK | (TCPFlags.PSH if last else TCPFlags.NONE),
+                TCP_PSH_ACK if last else TCPFlags.ACK,
                 payload=message if last else None,
                 payload_bytes=chunk,
                 last_fragment=last,
@@ -207,10 +219,10 @@ class Connection:
         """Initiate FIN teardown (idempotent)."""
         if self.state is TCPState.ESTABLISHED:
             self.state = TCPState.FIN_WAIT
-            self._emit(TCPFlags.FIN | TCPFlags.ACK)
+            self._emit(TCP_FIN_ACK)
         elif self.state is TCPState.CLOSE_WAIT:
             self._finish_close()
-            self._emit(TCPFlags.FIN | TCPFlags.ACK)
+            self._emit(TCP_FIN_ACK)
 
     def abort(self) -> None:
         """Send RST and drop state immediately (used by port probes)."""
@@ -226,7 +238,8 @@ class Connection:
     # ------------------------------------------------------------- rx path
 
     def _on_segment(self, seg: TCPSegment) -> None:
-        if seg.has(TCPFlags.RST):
+        flags = int(seg.flags)
+        if flags & _RST:
             self._cancel_syn_timer()
             if self.state is TCPState.SYN_SENT and not self.established.done:
                 self.established.fail(ConnectionRefused(
@@ -235,7 +248,7 @@ class Connection:
             return
 
         if self.state is TCPState.SYN_SENT:
-            if seg.has(TCPFlags.SYN) and seg.has(TCPFlags.ACK):
+            if flags & _SYN and flags & _ACK:
                 self._cancel_syn_timer()
                 self.state = TCPState.ESTABLISHED
                 self.established_at = self.sim.now
@@ -245,13 +258,13 @@ class Connection:
             return
 
         if self.state is TCPState.SYN_RCVD:
-            if seg.has(TCPFlags.SYN):
+            if flags & _SYN:
                 # duplicate SYN (client retransmitted while our SYN-ACK was
                 # in flight or the controller replayed the buffered packet):
                 # re-send the SYN-ACK, as a real stack would.
-                self._emit(TCPFlags.SYN | TCPFlags.ACK)
+                self._emit(TCP_SYN_ACK)
                 return
-            if seg.has(TCPFlags.ACK):
+            if flags & _ACK:
                 self.state = TCPState.ESTABLISHED
                 self.established_at = self.sim.now
                 if not self.established.done:
@@ -263,7 +276,7 @@ class Connection:
         if self.state not in (TCPState.ESTABLISHED, TCPState.FIN_WAIT, TCPState.CLOSE_WAIT):
             return
 
-        if seg.has(TCPFlags.FIN):
+        if flags & _FIN:
             if self.state is TCPState.ESTABLISHED:
                 self.state = TCPState.CLOSE_WAIT
                 self._emit(TCPFlags.ACK)
@@ -356,6 +369,8 @@ class Host(Device):
         self._listeners: Dict[int, Callable[[Connection], None]] = {}
         self._udp_listeners: Dict[int, Callable[[IPv4, UDPDatagram], None]] = {}
         self._next_ephemeral = EPHEMERAL_PORT_START
+        #: resolved when a link is attached, not per transmitted frame
+        self._uplink_port: Optional[int] = None
         self.stats: Dict[str, int] = {
             "syn_retransmits": 0,
             "rst_sent": 0,
@@ -366,13 +381,16 @@ class Host(Device):
 
     # --------------------------------------------------------------- wiring
 
+    def attach_link(self, port_no: int, link: "Link") -> None:
+        super().attach_link(port_no, link)
+        self._uplink_port = min(self.links)
+
     @property
     def uplink_port(self) -> int:
         """The single NIC's port number (hosts are single-homed)."""
-        ports = self.port_numbers
-        if not ports:
+        if self._uplink_port is None:
             raise NetworkStateError(f"{self.name}: no link attached")
-        return ports[0]
+        return self._uplink_port
 
     # ------------------------------------------------------------ listeners
 
@@ -512,26 +530,25 @@ class Host(Device):
     # ------------------------------------------------------------------ rx
 
     def on_frame(self, port_no: int, frame: EthernetFrame) -> None:
-        if frame.dst != self.mac and not frame.dst.is_broadcast:
+        # Addresses are interned, so identity is equality.
+        dst = frame.dst
+        if dst is not self.mac and dst is not BROADCAST_MAC:
             self.stats["dropped_not_mine"] += 1
             return
-        arp = frame.arp
-        if arp is not None:
-            self._on_arp(arp)
-            return
-        packet = frame.ipv4
-        if packet is None:
-            return
-        if packet.dst != self.ip:
-            self.stats["dropped_not_mine"] += 1
-            return
-        if packet.proto == IP_PROTO_TCP:
-            self._on_tcp(packet.src, packet.payload)  # type: ignore[arg-type]
-        elif packet.proto == IP_PROTO_UDP:
-            dg: UDPDatagram = packet.payload  # type: ignore[assignment]
-            listener = self._udp_listeners.get(dg.dst_port)
-            if listener is not None:
-                listener(packet.src, dg)
+        packet = frame.payload
+        if type(packet) is IPv4Packet:
+            if packet.dst is not self.ip:
+                self.stats["dropped_not_mine"] += 1
+                return
+            if packet.proto == IP_PROTO_TCP:
+                self._on_tcp(packet.src, packet.payload)  # type: ignore[arg-type]
+            elif packet.proto == IP_PROTO_UDP:
+                dg: UDPDatagram = packet.payload  # type: ignore[assignment]
+                listener = self._udp_listeners.get(dg.dst_port)
+                if listener is not None:
+                    listener(packet.src, dg)
+        elif type(packet) is ArpPacket:
+            self._on_arp(packet)
 
     def _on_tcp(self, src_ip: IPv4, seg: TCPSegment) -> None:
         key: ConnKey = (seg.dst_port, src_ip, seg.src_port)
@@ -539,22 +556,23 @@ class Host(Device):
         if conn is not None:
             conn._on_segment(seg)
             return
-        if seg.has(TCPFlags.SYN) and not seg.has(TCPFlags.ACK):
+        flags = int(seg.flags)
+        if flags & _SYN and not flags & _ACK:
             accept = self._listeners.get(seg.dst_port)
             if accept is not None:
                 conn = Connection(self, seg.dst_port, src_ip, seg.src_port, is_client=False)
                 conn.state = TCPState.SYN_RCVD
                 self._connections[key] = conn
                 accept(conn)
-                conn._emit(TCPFlags.SYN | TCPFlags.ACK)
+                conn._emit(TCP_SYN_ACK)
                 return
             # Closed port: refuse.
             self.stats["rst_sent"] += 1
             rst = TCPSegment(src_port=seg.dst_port, dst_port=seg.src_port,
-                             flags=TCPFlags.RST | TCPFlags.ACK)
+                             flags=TCP_RST_ACK)
             self.send_ip(src_ip, IP_PROTO_TCP, rst)
             return
-        if not seg.has(TCPFlags.RST):
+        if not flags & _RST:
             # Stray non-SYN segment for an unknown connection -> RST.
             self.stats["rst_sent"] += 1
             rst = TCPSegment(src_port=seg.dst_port, dst_port=seg.src_port, flags=TCPFlags.RST)

@@ -68,40 +68,45 @@ class Link:
 
     # ----------------------------------------------------------- data path
 
-    def other_end(self, device: "Device") -> tuple["Device", int]:
-        if device is self.a:
-            return self.b, self.b_port
-        if device is self.b:
-            return self.a, self.a_port
-        raise ValueError(f"{device!r} is not an endpoint of {self.name}")
-
-    def tx_time(self, frame: EthernetFrame) -> float:
-        if self.bandwidth_bps is None:
-            return 0.0
-        return frame.wire_bytes * 8.0 / self.bandwidth_bps
-
     def transmit(self, sender: "Device", frame: EthernetFrame) -> None:
-        """Queue ``frame`` for delivery to the opposite endpoint."""
-        if not self.up:
-            self.sim.trace.emit(self.sim.now, "net", "link-drop",
-                                {"link": self.name, "frame": frame.describe()})
-            return
-        if self.sim.faults.roll("link.loss"):
-            self.sim.trace.emit(self.sim.now, "net", "link-fault-drop",
-                                {"link": self.name, "frame": frame.describe()})
-            return
-        receiver, rx_port = self.other_end(sender)
-        start = max(self.sim.now, self._busy_until[sender])
-        done_serializing = start + self.tx_time(frame)
-        self._busy_until[sender] = done_serializing
-        arrival_delay = (done_serializing - self.sim.now) + self.latency_s
-        self.sim.schedule(arrival_delay, self._deliver, receiver, rx_port, frame)
+        """Queue ``frame`` for delivery to the opposite endpoint.
 
-    def _deliver(self, receiver: "Device", rx_port: int, frame: EthernetFrame) -> None:
+        The frame is sized once per hop and the size rides along to
+        :meth:`_deliver`. The arithmetic is kept in exactly this order —
+        every later timestamp of the run is built from these floats.
+        """
+        sim = self.sim
+        if not self.up:
+            sim.trace.emit(sim.now, "net", "link-drop",
+                           {"link": self.name, "frame": frame.describe()})
+            return
+        faults = sim.faults
+        if faults.points and faults.roll("link.loss"):
+            sim.trace.emit(sim.now, "net", "link-fault-drop",
+                           {"link": self.name, "frame": frame.describe()})
+            return
+        if sender is self.a:
+            receiver, rx_port = self.b, self.b_port
+        elif sender is self.b:
+            receiver, rx_port = self.a, self.a_port
+        else:
+            raise ValueError(f"{sender!r} is not an endpoint of {self.name}")
+        now = sim.now
+        nbytes = frame.wire_bytes
+        busy = self._busy_until[sender]
+        start = busy if busy > now else now
+        bandwidth = self.bandwidth_bps
+        done_serializing = start + (0.0 if bandwidth is None else nbytes * 8.0 / bandwidth)
+        self._busy_until[sender] = done_serializing
+        arrival_delay = (done_serializing - now) + self.latency_s
+        sim.schedule(arrival_delay, self._deliver, receiver, rx_port, frame, nbytes)
+
+    def _deliver(self, receiver: "Device", rx_port: int, frame: EthernetFrame,
+                 nbytes: int) -> None:
         if not self.up:
             return  # went down while in flight
         self.frames_delivered += 1
-        self.bytes_delivered += frame.wire_bytes
+        self.bytes_delivered += nbytes
         receiver.deliver(rx_port, frame)
 
     # ------------------------------------------------------------- control

@@ -38,6 +38,8 @@ IP_HEADER_BYTES = 20
 TCP_HEADER_BYTES = 20
 UDP_HEADER_BYTES = 8
 
+_ETH_IP_TCP_HEADER_BYTES = ETH_HEADER_BYTES + IP_HEADER_BYTES + TCP_HEADER_BYTES
+
 #: Maximum TCP payload per segment (standard Ethernet MSS).
 TCP_MSS = 1460
 
@@ -54,6 +56,14 @@ class TCPFlags(enum.IntFlag):
     RST = 0x04
     PSH = 0x08
     ACK = 0x10
+
+
+#: The combinations the stacks emit, built once: ``|`` on two members goes
+#: through the enum machinery on every evaluation.
+TCP_SYN_ACK = TCPFlags.SYN | TCPFlags.ACK
+TCP_PSH_ACK = TCPFlags.PSH | TCPFlags.ACK
+TCP_FIN_ACK = TCPFlags.FIN | TCPFlags.ACK
+TCP_RST_ACK = TCPFlags.RST | TCPFlags.ACK
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +128,8 @@ class TCPSegment:
         return TCP_HEADER_BYTES + self.payload_bytes
 
     def has(self, flag: TCPFlags) -> bool:
-        return bool(self.flags & flag)
+        # Plain-int AND: ``IntFlag.__and__`` would build a member per test.
+        return int(self.flags) & int(flag) != 0
 
     def rewrite(self, src_port: Optional[int] = None,
                 dst_port: Optional[int] = None) -> "TCPSegment":
@@ -223,7 +234,14 @@ class EthernetFrame:
 
     @property
     def wire_bytes(self) -> int:
-        return ETH_HEADER_BYTES + self.payload.wire_bytes
+        # Every hop sizes the frame, and nearly every frame is TCP over
+        # IPv4: answer that shape here instead of one call per layer.
+        packet = self.payload
+        if type(packet) is IPv4Packet:
+            segment = packet.payload
+            if type(segment) is TCPSegment:
+                return _ETH_IP_TCP_HEADER_BYTES + segment.payload_bytes
+        return ETH_HEADER_BYTES + packet.wire_bytes
 
     def rewrite(self, src: Optional[MAC] = None, dst: Optional[MAC] = None,
                 payload: Optional[Union[ArpPacket, IPv4Packet]] = None,
@@ -256,21 +274,18 @@ class EthernetFrame:
         ``self`` unchanged.
         """
         payload = self.payload
-        if isinstance(payload, IPv4Packet):
+        new_payload: Optional[Union[ArpPacket, IPv4Packet]] = None
+        if type(payload) is IPv4Packet:
             new_l4: Optional[Union[TCPSegment, UDPDatagram]] = None
-            if (l4_src is not None or l4_dst is not None) and isinstance(
-                    payload.payload, (TCPSegment, UDPDatagram)):
-                new_l4 = payload.payload.rewrite(src_port=l4_src, dst_port=l4_dst)
+            if l4_src is not None or l4_dst is not None:
+                l4 = payload.payload
+                if type(l4) is TCPSegment or type(l4) is UDPDatagram:
+                    new_l4 = l4.rewrite(l4_src, l4_dst)
             if ipv4_src is not None or ipv4_dst is not None or new_l4 is not None:
-                new_payload: Optional[Union[ArpPacket, IPv4Packet]] = payload.rewrite(
-                    src=ipv4_src, dst=ipv4_dst, payload=new_l4)
-            else:
-                new_payload = None
-        else:
-            new_payload = None
+                new_payload = payload.rewrite(ipv4_src, ipv4_dst, new_l4)
         if eth_src is None and eth_dst is None and new_payload is None:
             return self
-        return self.rewrite(src=eth_src, dst=eth_dst, payload=new_payload)
+        return self.rewrite(eth_src, eth_dst, new_payload)
 
     # ------------------------------------------------------- layer accessors
 

@@ -1,27 +1,29 @@
 """OpenFlow actions: output and set-field (the rewrite primitive).
 
-``apply_actions`` executes an action list against a frame, returning the
-(possibly rewritten) frame and the list of output ports — the switch then
-performs the actual transmissions. Set-field produces copies; frames are
-never mutated in place.
+``apply_actions_multi`` executes an action list against a frame, returning
+the ``(frame, port)`` pair of every output — the switch then performs the
+actual transmissions. Set-field produces copies; frames are never mutated
+in place.
 
-Contiguous set-field actions are **fused**: pending field writes accumulate
-in a small dict and materialize as one multi-layer
-:meth:`~repro.netsim.packet.EthernetFrame.rewrite_headers` copy at each
-output boundary (apply-actions semantics: an output emits the frame as
-rewritten *so far*). A 4-field NAT rewrite then allocates one object per
-mutated layer instead of one full ``dataclasses.replace`` chain per field.
-``apply_actions_multi_reference`` keeps the per-field replace chain verbatim
-as the differential-testing oracle and the allocation benchmark baseline.
+An action list is **compiled** once into an :class:`ActionProgram`: the
+set-fields between two outputs collapse into one row of header writes, which
+materializes as a single fused
+:meth:`~repro.netsim.packet.EthernetFrame.rewrite_headers` copy at that
+output (apply-actions semantics: an output emits the frame as rewritten *so
+far*). A flow entry compiles its list at construction and the program dies
+with the entry; a raw list (PacketOut, tests) is compiled where it is
+executed. ``apply_actions_multi_reference`` interprets the list one
+``dataclasses.replace`` chain per field and is the differential-testing
+oracle (tests/openflow/test_rewrite_fused.py).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union, final
 
 from repro.netsim.addresses import MAC, IPv4
-from repro.netsim.packet import EthernetFrame, TCPSegment, UDPDatagram
+from repro.netsim.packet import EthernetFrame, IPv4Packet, TCPSegment, UDPDatagram
 from repro.openflow.constants import REWRITABLE_FIELDS
 
 
@@ -79,38 +81,84 @@ class SetFieldAction(Action):
         return f"SetField({self.field}={self.value})"
 
 
-def _rewrite(frame: EthernetFrame, field: str, value: Any) -> EthernetFrame:
-    """Single-field rewrite through the lean per-layer copy helpers."""
-    return _apply_fields(frame, {field: value})
+#: header writes pending at one output, ``None`` = leave the field as is:
+#: ``(eth_src, eth_dst, ipv4_src, ipv4_dst, tcp_src, tcp_dst, udp_src, udp_dst)``
+_Writes = Tuple[Optional[MAC], Optional[MAC], Optional[IPv4], Optional[IPv4],
+                Optional[int], Optional[int], Optional[int], Optional[int]]
 
 
-def _apply_fields(frame: EthernetFrame, pending: Dict[str, Any]) -> EthernetFrame:
-    """Materialize a batch of pending set-field writes as one fused rewrite.
+def _writes(pending: Dict[str, Any]) -> Optional[_Writes]:
+    if not pending:
+        return None
+    get = pending.get
+    return (get("eth_src"), get("eth_dst"), get("ipv4_src"), get("ipv4_dst"),
+            get("tcp_src"), get("tcp_dst"), get("udp_src"), get("udp_dst"))
 
-    Per-field OpenFlow prerequisite semantics: IPv4/L4 fields are dropped
-    individually when their layer is absent (``tcp_dst`` on a UDP packet is a
-    no-op while ``eth_dst`` in the same batch still applies).
+
+@final
+class ActionProgram:
+    """An action list compiled for execution: one step per output.
+
+    ``steps`` holds, per :class:`OutputAction` in list order, the header
+    writes accumulated since the previous output (``None`` when there are
+    none) and the port. ``trailing`` is what was written after the last
+    output — it reaches no output, and only :func:`apply_actions` on a list
+    *without* outputs returns a frame carrying it.
     """
-    eth_src = pending.get("eth_src")
-    eth_dst = pending.get("eth_dst")
-    ipv4_src: Optional[IPv4] = None
-    ipv4_dst: Optional[IPv4] = None
-    l4_src: Optional[int] = None
-    l4_dst: Optional[int] = None
-    packet = frame.ipv4
-    if packet is not None:
-        ipv4_src = pending.get("ipv4_src")
-        ipv4_dst = pending.get("ipv4_dst")
-        l4 = packet.payload
-        if isinstance(l4, TCPSegment):
-            l4_src = pending.get("tcp_src")
-            l4_dst = pending.get("tcp_dst")
-        elif isinstance(l4, UDPDatagram):
-            l4_src = pending.get("udp_src")
-            l4_dst = pending.get("udp_dst")
-    return frame.rewrite_headers(eth_src=eth_src, eth_dst=eth_dst,
-                                 ipv4_src=ipv4_src, ipv4_dst=ipv4_dst,
-                                 l4_src=l4_src, l4_dst=l4_dst)
+
+    __slots__ = ("steps", "trailing")
+
+    def __init__(self, actions: Sequence[Action]) -> None:
+        steps: List[Tuple[Optional[_Writes], int]] = []
+        pending: Dict[str, Any] = {}
+        for action in actions:
+            if isinstance(action, SetFieldAction):
+                pending[action.field] = action.value
+            elif isinstance(action, OutputAction):
+                steps.append((_writes(pending), action.port))
+                pending = {}
+            else:  # pragma: no cover - future action types
+                raise TypeError(f"unsupported action {action!r}")
+        self.steps = tuple(steps)
+        self.trailing = _writes(pending)
+
+
+def _apply_writes(frame: EthernetFrame, writes: _Writes) -> EthernetFrame:
+    """Materialize one row of header writes as one fused rewrite.
+
+    Per-field OpenFlow prerequisite semantics: ``rewrite_headers`` ignores
+    IPv4 writes on a non-IP frame, and the port pair is picked by the L4
+    class here (``tcp_dst`` on a UDP packet is a no-op while ``eth_dst`` in
+    the same row still applies).
+    """
+    eth_src, eth_dst, ipv4_src, ipv4_dst, tcp_src, tcp_dst, udp_src, udp_dst = writes
+    packet = frame.payload
+    if type(packet) is IPv4Packet:
+        l4_class = type(packet.payload)
+        if l4_class is TCPSegment:
+            return frame.rewrite_headers(eth_src, eth_dst, ipv4_src, ipv4_dst, tcp_src, tcp_dst)
+        if l4_class is UDPDatagram:
+            return frame.rewrite_headers(eth_src, eth_dst, ipv4_src, ipv4_dst, udp_src, udp_dst)
+    return frame.rewrite_headers(eth_src, eth_dst, ipv4_src, ipv4_dst)
+
+
+def apply_actions_multi(
+    frame: EthernetFrame, actions: Union[ActionProgram, Sequence[Action]]
+) -> List[Tuple[EthernetFrame, int]]:
+    """Run an action list (or its compiled program); return the exact
+    ``(frame, port)`` pairs, preserving per-output rewrite state.
+
+    OpenFlow apply-actions semantics: actions execute in order, so a
+    set-field *after* an output does not affect that output.
+    """
+    program = actions if type(actions) is ActionProgram else ActionProgram(actions)
+    outputs: List[Tuple[EthernetFrame, int]] = []
+    current = frame
+    for writes, port in program.steps:
+        if writes is not None:
+            current = _apply_writes(current, writes)
+        outputs.append((current, port))
+    return outputs
 
 
 def apply_actions(
@@ -118,64 +166,23 @@ def apply_actions(
 ) -> Tuple[EthernetFrame, List[int]]:
     """Run an action list; return the final frame and output port list.
 
-    OpenFlow apply-actions semantics: actions execute in order, so a
-    set-field *after* an output does not affect that output. We return the
-    frame state at each output; for simplicity all outputs receive the frame
-    as rewritten up to that output action — achieved by snapshotting.
+    The frame is the one the *last* output emitted (set-fields after it
+    never reached an output and are discarded); a list with no output
+    returns the frame with every rewrite applied.
     """
-    outputs: List[Tuple[EthernetFrame, int]] = []
-    current = frame
-    pending: Dict[str, Any] = {}
-    for action in actions:
-        if isinstance(action, SetFieldAction):
-            pending[action.field] = action.value
-        elif isinstance(action, OutputAction):
-            if pending:
-                current = _apply_fields(current, pending)
-                pending = {}
-            outputs.append((current, action.port))
-        else:  # pragma: no cover - future action types
-            raise TypeError(f"unsupported action {action!r}")
-    if not outputs:
-        # No output: return the frame with every rewrite applied (matching
-        # the sequential reference semantics).
-        if pending:
-            current = _apply_fields(current, pending)
-        return current, []
-    # The common case is a single output; return that frame and port list.
-    # Multiple outputs with interleaved rewrites are handled by the switch
-    # calling apply_actions_multi instead. Trailing set-fields after the
-    # last output never reached an output and are discarded, exactly like
-    # the reference implementation's return value.
-    return outputs[-1][0], [port for _, port in outputs]
-
-
-def apply_actions_multi(
-    frame: EthernetFrame, actions: Sequence[Action]
-) -> List[Tuple[EthernetFrame, int]]:
-    """Like :func:`apply_actions` but yields the exact (frame, port) pairs,
-    preserving per-output rewrite state."""
-    outputs: List[Tuple[EthernetFrame, int]] = []
-    current = frame
-    pending: Dict[str, Any] = {}
-    for action in actions:
-        if isinstance(action, SetFieldAction):
-            pending[action.field] = action.value
-        elif isinstance(action, OutputAction):
-            if pending:
-                current = _apply_fields(current, pending)
-                pending = {}
-            outputs.append((current, action.port))
-        else:  # pragma: no cover
-            raise TypeError(f"unsupported action {action!r}")
-    return outputs
+    program = ActionProgram(actions)
+    outputs = apply_actions_multi(frame, program)
+    if outputs:
+        return outputs[-1][0], [port for _, port in outputs]
+    if program.trailing is not None:
+        frame = _apply_writes(frame, program.trailing)
+    return frame, []
 
 
 # --------------------------------------------------------------------------
-# Reference implementation (pre-fusing): one dataclasses.replace chain per
-# set-field. Kept verbatim as the differential-testing oracle
-# (tests/openflow/test_rewrite_fused.py) and the allocation benchmark
-# baseline (repro.bench packet_rewrite).
+# Reference implementation: the list interpreted action by action, one
+# dataclasses.replace chain per set-field. Kept verbatim as the
+# differential-testing oracle (tests/openflow/test_rewrite_fused.py).
 # --------------------------------------------------------------------------
 
 
@@ -211,7 +218,7 @@ def _rewrite_reference(frame: EthernetFrame, field: str, value: Any) -> Ethernet
 def apply_actions_multi_reference(
     frame: EthernetFrame, actions: Sequence[Action]
 ) -> List[Tuple[EthernetFrame, int]]:
-    """The pre-fusing ``apply_actions_multi``: sequential per-field rewrites."""
+    """``apply_actions_multi`` uncompiled: sequential per-field rewrites."""
     outputs: List[Tuple[EthernetFrame, int]] = []
     current = frame
     for action in actions:

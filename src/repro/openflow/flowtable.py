@@ -29,14 +29,15 @@ linear scan's first-match-in-sorted-order answer.
 from __future__ import annotations
 
 import bisect
+from operator import attrgetter, neg
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.perf import PERF
+from repro.openflow.actions import Action, ActionProgram
 from repro.openflow.constants import OFPFF_SEND_FLOW_REM, OFPRR_DELETE, OFPRR_HARD_TIMEOUT, OFPRR_IDLE_TIMEOUT
 from repro.openflow.match import FieldDict, Match
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.openflow.actions import Action
     from repro.simcore import Simulator
 
 #: bucket key: the entry's cached exact (ipv4_src, ipv4_dst), None = wildcard
@@ -47,17 +48,17 @@ class FlowEntry:
     """One installed flow rule."""
 
     __slots__ = (
-        "match", "priority", "actions", "idle_timeout", "hard_timeout",
+        "match", "priority", "actions", "program", "idle_timeout", "hard_timeout",
         "cookie", "flags", "installed_at", "last_used", "packet_count",
         "byte_count", "_idle_timer", "_hard_timer", "removed",
-        "_fast_dst", "_fast_src", "seq", "_sim",
+        "_fast_dst", "_fast_src", "seq", "sort_key", "_sim",
     )
 
     def __init__(
         self,
         match: Match,
         priority: int,
-        actions: List["Action"],
+        actions: List[Action],
         idle_timeout: float = 0.0,
         hard_timeout: float = 0.0,
         cookie: int = 0,
@@ -71,6 +72,9 @@ class FlowEntry:
         self._fast_src = match.exact_value("ipv4_src")
         self.priority = priority
         self.actions = list(actions)
+        #: the list compiled once for the per-packet path; owned by the
+        #: entry and dropped with it
+        self.program = ActionProgram(self.actions)
         self.idle_timeout = idle_timeout
         self.hard_timeout = hard_timeout
         self.cookie = cookie
@@ -87,6 +91,8 @@ class FlowEntry:
         #: priorities (stored on the entry itself — never keyed by ``id()``,
         #: which can be reused after garbage collection).
         self.seq = 0
+        #: table order, ``(-priority, seq)``; set with ``seq`` at install
+        self.sort_key: Tuple[int, int] = (-priority, 0)
         self._sim: Optional["Simulator"] = None
 
     @property
@@ -112,8 +118,7 @@ class FlowEntry:
                 f"pkts={self.packet_count} idle={self.idle_timeout}>")
 
 
-def _sort_key(entry: FlowEntry) -> Tuple[int, int]:
-    return (-entry.priority, entry.seq)
+_sort_key = attrgetter("sort_key")
 
 
 class FlowTable:
@@ -166,6 +171,7 @@ class FlowTable:
             self._remove_entry(existing, OFPRR_DELETE, notify=False)
         self._insert_seq += 1
         entry.seq = self._insert_seq
+        entry.sort_key = (-entry.priority, entry.seq)
         entry.removed = False  # a reinstalled entry is live again
         entry._sim = self.sim
         # The seq lives on the entry itself (not an id()-keyed side table,
@@ -188,7 +194,7 @@ class FlowTable:
         count = self._prio_counts.get(priority, 0)
         if count == 0:
             # keep the walk list descending: bisect on the negated priority
-            bisect.insort(self._priorities, priority, key=lambda p: -p)
+            bisect.insort(self._priorities, priority, key=neg)
             self._buckets[priority] = {}
         self._prio_counts[priority] = count + 1
         # seq is strictly increasing, so append preserves ascending-seq order
@@ -281,13 +287,6 @@ class FlowTable:
                 return entry
         return None
 
-    def match_packet(self, fields: FieldDict, nbytes: int) -> Optional[FlowEntry]:
-        """Lookup + counter/idle-refresh side effects for a forwarded packet."""
-        entry = self.lookup(fields)
-        if entry is not None:
-            entry.touch(self.sim.now, nbytes)
-        return entry
-
     # -------------------------------------------------------------- timeouts
 
     def _idle_check(self, entry: FlowEntry) -> None:
@@ -338,7 +337,7 @@ class FlowTable:
             entry._hard_timer.cancel()
         # Sort keys are intrinsic and unique, so the entry's slot is found
         # by bisect instead of a linear scan.
-        index = bisect.bisect_left(self._entries, _sort_key(entry), key=_sort_key)
+        index = bisect.bisect_left(self._entries, entry.sort_key, key=_sort_key)
         if index < len(self._entries) and self._entries[index] is entry:
             del self._entries[index]
             self._index_remove(entry)

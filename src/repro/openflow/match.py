@@ -11,7 +11,15 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.netsim.addresses import MAC, IPv4
-from repro.netsim.packet import IP_PROTO_TCP, IP_PROTO_UDP, EthernetFrame, TCPSegment, UDPDatagram
+from repro.netsim.packet import (
+    IP_PROTO_TCP,
+    IP_PROTO_UDP,
+    ArpPacket,
+    EthernetFrame,
+    IPv4Packet,
+    TCPSegment,
+    UDPDatagram,
+)
 from repro.openflow.constants import FIELDS
 
 FieldDict = Dict[str, Any]
@@ -30,23 +38,21 @@ def extract_fields(frame: EthernetFrame, in_port: int) -> FieldDict:
         "eth_dst": frame.dst,
         "eth_type": frame.ethertype,
     }
-    arp = frame.arp
-    if arp is not None:
-        fields["arp_op"] = int(arp.op)
-        fields["arp_spa"] = arp.sender_ip
-        fields["arp_tpa"] = arp.target_ip
-        return fields
-    ipv4 = frame.ipv4
-    if ipv4 is not None:
-        fields["ipv4_src"] = ipv4.src
-        fields["ipv4_dst"] = ipv4.dst
-        fields["ip_proto"] = ipv4.proto
-        if ipv4.proto == IP_PROTO_TCP:
-            seg: TCPSegment = ipv4.payload  # type: ignore[assignment]
+    payload = frame.payload
+    if type(payload) is ArpPacket:
+        fields["arp_op"] = int(payload.op)
+        fields["arp_spa"] = payload.sender_ip
+        fields["arp_tpa"] = payload.target_ip
+    elif type(payload) is IPv4Packet:
+        fields["ipv4_src"] = payload.src
+        fields["ipv4_dst"] = payload.dst
+        fields["ip_proto"] = payload.proto
+        if payload.proto == IP_PROTO_TCP:
+            seg: TCPSegment = payload.payload  # type: ignore[assignment]
             fields["tcp_src"] = seg.src_port
             fields["tcp_dst"] = seg.dst_port
-        elif ipv4.proto == IP_PROTO_UDP:
-            dg: UDPDatagram = ipv4.payload  # type: ignore[assignment]
+        elif payload.proto == IP_PROTO_UDP:
+            dg: UDPDatagram = payload.payload  # type: ignore[assignment]
             fields["udp_src"] = dg.src_port
             fields["udp_dst"] = dg.dst_port
     return fields

@@ -311,17 +311,23 @@ class OpenFlowSwitch(Device):
                 if not owned:
                     del self._mf_by_entry[entry]
 
-    def _execute(self, entry: FlowEntry, frame: EthernetFrame, in_port: int, fields: FieldDict) -> None:
-        outputs = apply_actions_multi(frame, entry.actions)
+    def _execute(self, entry: FlowEntry, frame: EthernetFrame, in_port: int,
+                 fields: Optional[FieldDict] = None) -> None:
+        """Run ``entry``'s actions on ``frame``. ``fields`` is the frame's
+        field dict when the caller already extracted it; a packet-in of the
+        unrewritten frame then reuses it."""
+        outputs = apply_actions_multi(frame, entry.program)
         if not outputs:
             self.packets_dropped += 1  # empty action list == drop
             return
         for out_frame, port in outputs:
-            self._output(out_frame, port, in_port, reason=OFPR_ACTION)
+            self._output(out_frame, port, in_port, OFPR_ACTION,
+                         fields if out_frame is frame else None)
 
-    def _output(self, frame: EthernetFrame, port: int, in_port: int, reason: int) -> None:
+    def _output(self, frame: EthernetFrame, port: int, in_port: int, reason: int,
+                fields: Optional[FieldDict] = None) -> None:
         if port == OFPP_CONTROLLER:
-            self._send_packet_in(frame, in_port, reason)
+            self._send_packet_in(frame, in_port, reason, fields)
             return
         if port in (OFPP_FLOOD, OFPP_ALL):
             for port_no in self.port_numbers:
@@ -336,12 +342,14 @@ class OpenFlowSwitch(Device):
 
     # ------------------------------------------------------------ packet-in
 
-    def _send_packet_in(self, frame: EthernetFrame, in_port: int, reason: int) -> None:
+    def _send_packet_in(self, frame: EthernetFrame, in_port: int, reason: int,
+                        fields: Optional[FieldDict] = None) -> None:
         if self.channel is None:
             self.packets_dropped += 1
             return
         self.packet_ins += 1
-        fields = extract_fields(frame, in_port)
+        if fields is None:
+            fields = extract_fields(frame, in_port)
         if len(self._buffer) < self.buffer_capacity:
             buffer_id = self._next_buffer_id
             self._next_buffer_id += 1
@@ -416,9 +424,8 @@ class OpenFlowSwitch(Device):
             if buffered is not None:
                 frame, in_port = buffered
                 # Spec: apply the new entry's actions to the buffered packet.
-                fields = extract_fields(frame, in_port)
                 entry.touch(self.sim.now, frame.wire_bytes)
-                self._execute(entry, frame, in_port, fields)
+                self._execute(entry, frame, in_port)
 
     def _handle_packet_out(self, message: PacketOut) -> None:
         if message.buffer_id != OFP_NO_BUFFER:
@@ -431,7 +438,7 @@ class OpenFlowSwitch(Device):
                 return
             frame, in_port = message.frame, message.in_port
         for out_frame, port in apply_actions_multi(frame, message.actions):
-            self._output(out_frame, port, in_port, reason=OFPR_ACTION)
+            self._output(out_frame, port, in_port, OFPR_ACTION)
 
     def _flow_removed(self, entry: FlowEntry, reason: int) -> None:
         if self.channel is None:

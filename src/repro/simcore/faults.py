@@ -81,7 +81,9 @@ class FaultPlane:
 
     def __init__(self) -> None:
         self._streams: Optional["ScopedStreams"] = None
-        self._points: Dict[str, FaultPoint] = {}
+        #: configured points by name. Empty means pass-through, and a
+        #: per-frame caller tests that before paying for :meth:`roll`.
+        self.points: Dict[str, FaultPoint] = {}
         #: point name -> number of times it fired (diagnostics)
         self.injected: Dict[str, int] = {}
 
@@ -97,9 +99,9 @@ class FaultPlane:
         """Set (or replace) one fault point. ``rate=0`` with ``stall_s=0``
         removes the point entirely."""
         if rate == 0.0 and stall_s == 0.0:
-            self._points.pop(point, None)
+            self.points.pop(point, None)
             return
-        self._points[point] = FaultPoint(rate=rate, stall_s=stall_s)
+        self.points[point] = FaultPoint(rate=rate, stall_s=stall_s)
 
     def configure_many(self, points: Dict[str, Any]) -> None:
         """Bulk configure: ``{"registry.pull": 0.1}`` or
@@ -112,15 +114,15 @@ class FaultPlane:
 
     def clear(self) -> None:
         """Remove every configured point (the plane goes pass-through)."""
-        self._points.clear()
+        self.points.clear()
 
     @property
     def armed(self) -> bool:
         """True when at least one point can fire."""
-        return self._streams is not None and bool(self._points)
+        return self._streams is not None and bool(self.points)
 
     def point(self, name: str) -> Optional[FaultPoint]:
-        return self._points.get(name)
+        return self.points.get(name)
 
     # ---------------------------------------------------------------- rolls
 
@@ -131,7 +133,7 @@ class FaultPlane:
     def roll(self, point: str) -> bool:
         """One Bernoulli draw at ``point``. False (and **no** RNG draw) when
         the point is not configured or the plane is unbound."""
-        spec = self._points.get(point)
+        spec = self.points.get(point)
         if spec is None or spec.rate == 0.0 or self._streams is None:
             return False
         fired = bool(self._stream(point).random() < spec.rate)
@@ -144,7 +146,7 @@ class FaultPlane:
 
         The stall fires with the point's ``rate`` and lasts ``stall_s``
         seconds exactly — deterministic length, probabilistic occurrence."""
-        spec = self._points.get(point)
+        spec = self.points.get(point)
         if spec is None or spec.stall_s == 0.0 or self._streams is None:
             return 0.0
         if spec.rate < 1.0 and not self.roll(point):
@@ -156,13 +158,13 @@ class FaultPlane:
     def delay_after(self, point: str) -> float:
         """Exponential holding time with mean ``stall_s`` (for
         time-to-crash style faults). 0.0 when unconfigured."""
-        spec = self._points.get(point)
+        spec = self.points.get(point)
         if spec is None or spec.stall_s == 0.0 or self._streams is None:
             return 0.0
         return float(self._stream(point + ".delay").exponential(spec.stall_s))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<FaultPlane points={sorted(self._points)} "
+        return (f"<FaultPlane points={sorted(self.points)} "
                 f"{'armed' if self.armed else 'disarmed'}>")
 
 

@@ -5,11 +5,13 @@ pending events. Everything else in the library (links, switches, container
 runtimes, reconcile loops, clients) schedules plain callbacks or spawns
 generator-based processes on this loop.
 
-The loop is intentionally minimal and allocation-light: an event is a 4-tuple
-``(time, seq, handle, args)`` on a ``heapq``; cancellation marks the handle
-dead rather than re-heapifying (lazy deletion), which keeps ``cancel`` O(1)
-and is the standard idiom for timer wheels with many idle-timeout resets
-(OpenFlow flow entries reset their timeout on every matched packet).
+The loop is intentionally minimal and allocation-light: the heap entry *is*
+the :class:`EventHandle` — a list ``[time, seq, callback, args, loop]`` that
+``heapq`` orders by its first two items — so ``schedule`` makes one object
+per event. Cancellation clears the callback slot rather than re-heapifying
+(lazy deletion), which keeps ``cancel`` O(1) and is the standard idiom for
+timer wheels with many idle-timeout resets (OpenFlow flow entries reset
+their timeout on every matched packet).
 """
 
 from __future__ import annotations
@@ -22,41 +24,43 @@ from repro.simcore.errors import DeadlockError, ScheduleInPastError, SimulatorRe
 from repro.simcore.trace import TraceLog
 
 
-class EventHandle:
+class EventHandle(list[Any]):
     """Handle for a scheduled callback; supports O(1) cancellation.
 
-    The callback and its arguments are stored on the handle so that a
-    cancelled event releases its references immediately instead of pinning
-    them until the heap entry is popped. The owning loop is kept so a
-    cancellation can maintain the loop's O(1) live-event counter.
+    The handle is its own heap entry: ``[time, seq, callback, args, loop]``.
+    ``(time, seq)`` is unique per loop, so heap comparisons never reach the
+    callback. A ``None`` callback slot means the event was cancelled or has
+    already fired; both release the callback and its arguments immediately
+    instead of pinning them until the entry is popped. The owning loop is
+    kept so a cancellation can maintain the loop's O(1) live-event counter.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "loop")
+    __slots__ = ()
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., None], args: tuple,
-                 loop: Optional["Simulator"] = None) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback: Optional[Callable[..., None]] = callback
-        self.args: Optional[tuple] = args
-        self.cancelled = False
-        self.loop = loop
+    @property
+    def time(self) -> float:
+        time: float = self[0]
+        return time
+
+    @property
+    def seq(self) -> int:
+        seq: int = self[1]
+        return seq
 
     def cancel(self) -> None:
         """Prevent the callback from running. Safe to call more than once,
         and safe to call after the event already fired (then a no-op)."""
-        if not self.cancelled and self.callback is not None and self.loop is not None:
-            self.loop._live -= 1
-        self.cancelled = True
-        self.callback = None
-        self.args = None
+        if self[2] is not None:
+            self[4]._live -= 1
+            self[2] = None
+            self[3] = None
 
     @property
     def alive(self) -> bool:
-        return not self.cancelled and self.callback is not None
+        return self[2] is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = "pending" if self.alive else "done"
         return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"
 
 
@@ -81,9 +85,12 @@ class Simulator:
     def __init__(self, trace: Optional[TraceLog] = None) -> None:
         from repro.simcore.faults import FaultPlane  # local import: cycle
 
-        self._queue: list[tuple[float, int, EventHandle]] = []
+        self._queue: list[EventHandle] = []
         self._seq = 0
-        self._now = 0.0
+        #: current simulated time in seconds; a plain attribute because
+        #: every layer reads it per frame — written only by this module
+        #: (linter rule REP010)
+        self.now = 0.0
         self._running = False
         #: live (scheduled, not yet executed or cancelled) events — kept
         #: exact by schedule/cancel/pop so pending_count() is O(1)
@@ -94,13 +101,6 @@ class Simulator:
         self.faults = FaultPlane()
         #: number of events executed so far (diagnostic / benchmark metric)
         self.events_executed = 0
-
-    # ------------------------------------------------------------------ time
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # ------------------------------------------------------------- scheduling
 
@@ -113,16 +113,16 @@ class Simulator:
         """
         if delay < 0:
             raise ScheduleInPastError(f"negative delay {delay!r}")
-        self._seq += 1
-        handle = EventHandle(self._now + delay, self._seq, callback, args, loop=self)
-        heapq.heappush(self._queue, (handle.time, handle.seq, handle))
+        self._seq = seq = self._seq + 1
+        handle = EventHandle((self.now + delay, seq, callback, args, self))
+        heapq.heappush(self._queue, handle)
         self._live += 1
         return handle
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
         # Scheduling in the past must raise, so the subtraction is the point.
-        return self.schedule(time - self._now, callback, *args)  # repro: noqa[REP006]
+        return self.schedule(time - self.now, callback, *args)  # repro: noqa[REP006]
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at the current time (after pending
@@ -133,8 +133,8 @@ class Simulator:
 
     def _pop_alive(self) -> Optional[EventHandle]:
         while self._queue:
-            _, _, handle = heapq.heappop(self._queue)
-            if handle.alive:
+            handle = heapq.heappop(self._queue)
+            if handle[2] is not None:
                 self._live -= 1  # about to execute
                 return handle
             # lazily dropped: cancelled entry
@@ -143,9 +143,9 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""
         while self._queue:
-            time, _, handle = self._queue[0]
-            if handle.alive:
-                return time
+            head = self._queue[0]
+            if head[2] is not None:
+                return head.time
             heapq.heappop(self._queue)
         return None
 
@@ -154,14 +154,13 @@ class Simulator:
         handle = self._pop_alive()
         if handle is None:
             return False
-        self._now = handle.time
-        callback, args = handle.callback, handle.args
+        self.now = handle[0]
+        callback, args = handle[2], handle[3]
         # Mark consumed before invoking so re-entrant cancel() is a no-op.
-        handle.callback = None
-        handle.args = None
+        handle[2] = None
+        handle[3] = None
         self.events_executed += 1
-        assert callback is not None
-        callback(*(args or ()))
+        callback(*args)
         return True
 
     def run(self, until: Optional[float] = None) -> float:
@@ -171,42 +170,43 @@ class Simulator:
         is advanced to exactly ``until`` even if the last event fired
         earlier, so back-to-back ``run(until=...)`` calls compose.
 
-        The loop is the hot path of every experiment: one pass per event
-        (the old ``peek()`` + ``step()`` pair traversed the cancelled heap
-        prefix twice and paid two extra method calls per event). The pop
-        itself stays routed through :meth:`_pop_alive` — the runtime
-        sanitizer's event-order audit patches that method.
+        The loop is the hot path of every experiment, so it pops and tests
+        liveness inline: per event it makes one ``heappop`` and the callback
+        and no other call. :meth:`peek` + :meth:`step` execute the same
+        events in the same order a method call at a time; the runtime
+        sanitizer's audited ``run`` is built on them.
         """
         if self._running:
             raise SimulatorReentryError("Simulator.run() is not re-entrant")
         self._running = True
         queue = self._queue
+        heappop = heapq.heappop
         executed_before = self.events_executed
         try:
             while queue:
-                head = queue[0][2]
-                if not head.alive:
-                    heapq.heappop(queue)  # lazily dropped: cancelled entry
+                handle = queue[0]
+                callback = handle[2]
+                if callback is None:
+                    heappop(queue)  # lazily dropped: cancelled entry
                     continue
-                if until is not None and head.time > until:
+                if until is not None and handle[0] > until:
                     break
-                handle = self._pop_alive()
-                assert handle is not None
-                self._now = handle.time
-                callback, args = handle.callback, handle.args
+                heappop(queue)
+                self._live -= 1
+                self.now = handle[0]
+                args = handle[3]
                 # Mark consumed before invoking so re-entrant cancel() is a
                 # no-op (same protocol as step()).
-                handle.callback = None
-                handle.args = None
+                handle[2] = None
+                handle[3] = None
                 self.events_executed += 1
-                assert callback is not None
-                callback(*(args or ()))
+                callback(*args)
         finally:
             self._running = False
             PERF.events_executed += self.events_executed - executed_before
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def run_until_deadlock(self, watched: "list[Any]") -> float:
         """Run to quiescence; raise :class:`DeadlockError` if any process in
@@ -215,7 +215,7 @@ class Simulator:
         alive = [p for p in watched if getattr(p, "alive", False)]
         if alive:
             raise DeadlockError(f"{len(alive)} process(es) blocked forever: {alive!r}")
-        return self._now
+        return self.now
 
     # -------------------------------------------------------------- processes
 
@@ -252,4 +252,4 @@ class Simulator:
         return self._live
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self._now:.6f} pending={len(self._queue)}>"
+        return f"<Simulator t={self.now:.6f} pending={len(self._queue)}>"

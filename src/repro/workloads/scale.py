@@ -42,6 +42,9 @@ from repro.netsim.host import Host
 from repro.netsim.packet import (
     ETH_TYPE_IP,
     IP_PROTO_TCP,
+    TCP_FIN_ACK,
+    TCP_PSH_ACK,
+    TCP_SYN_ACK,
     EthernetFrame,
     HTTPRequest,
     IPv4Packet,
@@ -67,8 +70,11 @@ BANK_MAC_BASE = 0x02BA00000000
 #: deployment under the default retry policy stays well inside it.
 CONVERSATION_TIMEOUT_S = 30.0
 
-_SYN_ACK = TCPFlags.SYN | TCPFlags.ACK
-_FIN = TCPFlags.FIN
+#: Flag bits as plain ints: ``&`` on two ``TCPFlags`` members goes through
+#: the enum machinery, and the receive path tests several per segment.
+_SYN_ACK = int(TCP_SYN_ACK)
+_FIN = int(TCPFlags.FIN)
+_RST = int(TCPFlags.RST)
 
 
 class BankAlreadyStartedError(RuntimeError):
@@ -224,17 +230,18 @@ class ClientBank(Device):
         self.transmit(self.uplink_port, frame)
 
     def on_frame(self, port_no: int, frame: EthernetFrame) -> None:
-        packet = frame.ipv4
-        if packet is None:
+        packet = frame.payload
+        if type(packet) is not IPv4Packet:
             return  # stray ARP broadcast — a real idle client ignores it too
         conv = self._active.get(packet.dst)
         if conv is None or packet.proto != IP_PROTO_TCP:
             return  # e.g. the server's RST answering our final ACK
         seg = packet.payload
-        if not isinstance(seg, TCPSegment):  # pragma: no cover - defensive
+        if type(seg) is not TCPSegment:  # pragma: no cover - defensive
             return
+        flags = int(seg.flags)
 
-        if seg.has(TCPFlags.RST):
+        if flags & _RST:
             # Refused / torn down mid-conversation: a failure sample.
             self._fail(conv, "ConnectionRefused"
                        if conv.state == _Conversation.SYN_SENT
@@ -242,11 +249,11 @@ class ClientBank(Device):
             return
 
         if conv.state == _Conversation.SYN_SENT:
-            if seg.flags & _SYN_ACK == _SYN_ACK:
+            if flags & _SYN_ACK == _SYN_ACK:
                 conv.state = _Conversation.AWAIT_RESPONSE
                 conv.t_connect = self.sim.now - conv.t0
                 self._emit(conv, TCPFlags.ACK)
-                self._emit(conv, TCPFlags.ACK | TCPFlags.PSH,
+                self._emit(conv, TCP_PSH_ACK,
                            payload=self.request,
                            payload_bytes=self._request_bytes)
                 conv.snd_nxt += self._request_bytes
@@ -262,13 +269,13 @@ class ClientBank(Device):
                         time_total=self.sim.now - conv.t0,
                         status=getattr(seg.payload, "status", 200))
                     conv.state = _Conversation.CLOSING
-                    self._emit(conv, TCPFlags.FIN | TCPFlags.ACK)
+                    self._emit(conv, TCP_FIN_ACK)
                     # Record *after* the FIN left: frame order then matches
                     # a real client, where close() follows the timing stop.
                     self._record_success(conv, timing)
             return
 
-        if conv.state == _Conversation.CLOSING and seg.has(_FIN):
+        if conv.state == _Conversation.CLOSING and flags & _FIN:
             self._emit(conv, TCPFlags.ACK)
             self._finish_closed(conv)
         # else: the server's plain ACK of our FIN — ignored.

@@ -26,7 +26,7 @@ def test_all_rules_registered_with_unique_codes():
     assert codes == sorted(codes)
     assert len(set(codes)) == len(codes)
     assert {"REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
-            "REP007"} <= set(codes)
+            "REP007", "REP008", "REP009", "REP010"} <= set(codes)
 
 
 def test_get_rule_unknown_code_raises():
@@ -255,6 +255,41 @@ def test_rep009_scope_excludes_revalidation_layer_and_tests():
 
 def test_rep009_honours_noqa():
     source = "self._plan_cache.clear()  # repro: noqa[REP009]\n"
+    report = check_source(source, LIB_PATH, AnalysisConfig())
+    assert report.violations == []
+    assert report.suppressed == 1
+
+
+# ------------------------------------------------------------------- REP010
+
+
+def test_rep010_flags_stores_to_the_sim_clock():
+    assert codes_at("sim.now = 5.0\n", LIB_PATH) == ["REP010"]
+    assert codes_at("self.sim.now += delay\n", LIB_PATH) == ["REP010"]
+    assert codes_at("tb.sim.now: float = 0.0\n", LIB_PATH) == ["REP010"]
+    # unpacking and chained targets store too
+    assert codes_at("sim.now, other = 1.0, 2.0\n", LIB_PATH) == ["REP010"]
+    assert codes_at("a = sim.now = 3.0\n", LIB_PATH) == ["REP010"]
+
+
+def test_rep010_allows_reads_and_other_names():
+    assert codes_at("t = sim.now\n", LIB_PATH) == []
+    assert codes_at("deadline = self.sim.now + 1.0\n", LIB_PATH) == []
+    assert codes_at("now = sim.now\nnow += 1.0\n", LIB_PATH) == []  # a local
+    assert codes_at("self.now_s = 1.0\nself.snow = 2\n", LIB_PATH) == []
+    assert codes_at("sim.schedule(sim.now, cb)\n", LIB_PATH) == []
+
+
+def test_rep010_exempts_only_the_event_loop_module():
+    source = "self.now = handle[0]\n"
+    assert codes_at(source, "src/repro/simcore/loop.py") == []
+    assert codes_at(source, "src/repro/simcore/process.py") == ["REP010"]
+    assert codes_at(source, "src/repro/analysis/sanitizer.py") == ["REP010"]
+    assert codes_at(source, "examples/quickstart.py") == ["REP010"]
+
+
+def test_rep010_honours_noqa():
+    source = "clock.now = 0  # repro: noqa[REP010] a test double, not a Simulator\n"
     report = check_source(source, LIB_PATH, AnalysisConfig())
     assert report.violations == []
     assert report.suppressed == 1

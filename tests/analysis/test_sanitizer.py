@@ -29,6 +29,7 @@ def test_install_uninstall_restores_originals():
     try:
         orig_schedule = Simulator.schedule
         orig_pop = Simulator._pop_alive
+        orig_run = Simulator.run
         orig_stream = RandomStreams.stream
         orig_remember = FlowMemory.remember
         with sanitized() as sanitizer:
@@ -37,6 +38,7 @@ def test_install_uninstall_restores_originals():
         assert active_sanitizer() is None
         assert Simulator.schedule is orig_schedule
         assert Simulator._pop_alive is orig_pop
+        assert Simulator.run is orig_run
         assert RandomStreams.stream is orig_stream
         assert FlowMemory.remember is orig_remember
     finally:
@@ -99,8 +101,8 @@ def test_corrupted_heap_order_is_caught():
         # order audit must notice the popped key went backwards.
         from repro.simcore.loop import EventHandle
 
-        rogue = EventHandle(0.25, 1, lambda: None, ())
-        heapq.heappush(sim._queue, (rogue.time, rogue.seq, rogue))
+        rogue = EventHandle((0.25, 1, lambda: None, (), sim))
+        heapq.heappush(sim._queue, rogue)
         with pytest.raises(SanitizerError, match="event order audit"):
             sim.run()
 

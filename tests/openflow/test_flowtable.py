@@ -32,6 +32,14 @@ def entry(priority=1, match=None, idle=0.0, hard=0.0, flags=0, cookie=0):
     )
 
 
+def forward(table, fields, nbytes):
+    """What the switch does per forwarded packet: look up, touch the winner."""
+    found = table.lookup(fields)
+    if found is not None:
+        found.touch(table.sim.now, nbytes)
+    return found
+
+
 FIELDS_80 = {"eth_type": 0x0800, "ip_proto": 6, "tcp_dst": 80}
 FIELDS_443 = {"eth_type": 0x0800, "ip_proto": 6, "tcp_dst": 443}
 
@@ -71,12 +79,12 @@ def test_no_match_returns_none(sim):
     assert table.lookup(FIELDS_80) is None
 
 
-def test_match_packet_updates_counters(sim):
+def test_touch_updates_counters(sim):
     table = FlowTable(sim)
     e = entry()
     table.install(e)
-    table.match_packet(FIELDS_80, 100)
-    table.match_packet(FIELDS_80, 200)
+    forward(table, FIELDS_80, 100)
+    forward(table, FIELDS_80, 200)
     assert e.packet_count == 2
     assert e.byte_count == 300
 
@@ -109,8 +117,8 @@ def test_idle_timeout_refreshed_by_traffic(sim):
     e = entry(idle=2.0, flags=OFPFF_SEND_FLOW_REM)
     table.install(e)
     # hit the flow at t=1.5 and t=3.0: expiry should slide to 5.0
-    sim.schedule(1.5, table.match_packet, FIELDS_80, 100)
-    sim.schedule(3.0, table.match_packet, FIELDS_80, 100)
+    sim.schedule(1.5, forward, table, FIELDS_80, 100)
+    sim.schedule(3.0, forward, table, FIELDS_80, 100)
     sim.run()
     assert removed == [5.0]
 
@@ -185,7 +193,7 @@ def test_stats_snapshot(sim):
     table = FlowTable(sim)
     e = entry(priority=3, match=Match(tcp_dst=80), idle=9.0)
     table.install(e)
-    table.match_packet(FIELDS_80, 500)
+    forward(table, FIELDS_80, 500)
     stats = table.stats()
     assert len(stats) == 1
     assert stats[0]["priority"] == 3
@@ -208,7 +216,7 @@ def test_duration_is_time_since_install_not_last_used(sim):
     table = FlowTable(sim)
     e = entry(match=Match(tcp_dst=80))
     table.install(e)
-    sim.schedule(1.0, table.match_packet, FIELDS_80, 100)
+    sim.schedule(1.0, forward, table, FIELDS_80, 100)
     sim.schedule(5.0, lambda: None)
     sim.run()
     assert sim.now == 5.0
@@ -220,7 +228,7 @@ def test_duration_matches_stats_snapshot(sim):
     table = FlowTable(sim)
     e = entry(match=Match(tcp_dst=80))
     table.install(e)
-    sim.schedule(2.0, table.match_packet, FIELDS_80, 100)
+    sim.schedule(2.0, forward, table, FIELDS_80, 100)
     sim.schedule(7.0, lambda: None)
     sim.run()
     assert table.stats()[0]["duration"] == e.duration == 7.0

@@ -177,7 +177,7 @@ def test_replacement_resets_counters_and_fires_no_flow_removed(sim):
     table = FlowTable(sim, on_removed=lambda e, r: removed.append(r))
     old = entry(priority=5, match=Match(tcp_dst=80), flags=OFPFF_SEND_FLOW_REM)
     table.install(old)
-    table.match_packet({"eth_type": 0x0800, "ip_proto": 6, "tcp_dst": 80}, 100)
+    table.lookup({"eth_type": 0x0800, "ip_proto": 6, "tcp_dst": 80}).touch(sim.now, 100)
     assert old.packet_count == 1
     new = entry(priority=5, match=Match(tcp_dst=80), flags=OFPFF_SEND_FLOW_REM)
     table.install(new)

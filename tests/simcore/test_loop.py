@@ -226,7 +226,7 @@ def test_pending_count_exact_under_churn():
     sim = Simulator()
 
     def brute():
-        return sum(1 for _, _, h in sim._queue if h.alive)
+        return sum(1 for handle in sim._queue if handle.alive)
 
     handles = [sim.schedule(float(i % 5) + 1.0, lambda: None) for i in range(50)]
     assert sim.pending_count() == brute() == 50
