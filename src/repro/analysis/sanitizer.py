@@ -246,6 +246,15 @@ class Sanitizer:
                     f"FlowMemory integrity after {mutation}: flow {key!r} "
                     f"last_used {flow.last_used!r} is in the future "
                     f"(now={now!r})")
+        recount: Dict[Tuple[Any, int, int], int] = {}
+        for flow in memory._flows.values():
+            target = (flow.cluster, flow.endpoint.ip.value, flow.endpoint.port)
+            recount[target] = recount.get(target, 0) + 1
+        if memory._refs != recount:
+            raise SanitizerError(
+                f"FlowMemory integrity after {mutation}: per-instance "
+                f"reference counts {memory._refs!r} are not a recount of "
+                f"the live flows {recount!r}")
         if mutation == "forget_endpoint" and args:
             endpoint = args[0]
             dangling = [key for key, flow in memory._flows.items()

@@ -694,12 +694,17 @@ def bench_registry_lookup(
         sample = [service_ids[rng.randrange(size)] for _ in range(2_000)]
         rounds = max(1, lookups // len(sample))
 
-        # THE decision: registered (addr, port, protocol) -> service.
-        started = _now()
+        # THE decision: registered (addr, port, protocol) -> service. The
+        # fastest round, not the total: a round is a fraction of a
+        # millisecond, so one preemption anywhere in the total would read as
+        # a tier that is twice as slow.
+        round_times = []
         for _ in range(rounds):
+            started = _now()
             for sid in sample:
                 registry.lookup_prefix(sid.addr, sid.port, sid.protocol)
-        hit_s = _now() - started
+            round_times.append(_now() - started)
+        decision_costs[size] = min(round_times) / len(sample) * 1e6
         n_hits = rounds * len(sample)
 
         # Covered-but-not-exact addresses: the trie LPM walk (offset >= 1
@@ -735,13 +740,12 @@ def bench_registry_lookup(
             registry.register_service(synthetic_service(sid))
         churn_s = _now() - started
 
-        decision_costs[size] = hit_s / n_hits * 1e6
         out["sizes"][str(size)] = {
             "registered": len(registry),
             "trie_prefixes": len(registry._trie),
             "trie_nodes": registry._trie.node_count(),
             "us_per_register": round(register_s / size * 1e6, 3),
-            "us_per_decision_hit": round(hit_s / n_hits * 1e6, 3),
+            "us_per_decision_hit": round(decision_costs[size], 3),
             "us_per_lpm_hit": round(lpm_s / n_lpm * 1e6, 3),
             "us_per_miss": round(miss_s / n_miss * 1e6, 3),
             "us_per_churn_op": round(churn_s / (2 * churn_cycles) * 1e6, 3),

@@ -77,6 +77,11 @@ class FlowMemory:
         #: it into the token keeps a cleared key distinguishable from its
         #: pre-clear self (no ABA through remember → clear)
         self._clear_count = 0
+        #: live flows per instance, so an expiry answers ``still_referenced``
+        #: without scanning ``_flows``. Keyed on the endpoint's fields, not
+        #: the Endpoint: its dataclass ``__hash__`` runs in Python and would
+        #: cost more than the scan does when every flow shares one instance.
+        self._refs: Dict[Tuple["EdgeCluster", int, int], int] = {}
         #: diagnostics
         self.hits = 0
         self.misses = 0
@@ -104,11 +109,15 @@ class FlowMemory:
         key = (client, service_id)
         flow = MemorizedFlow(key=key, cluster=cluster, endpoint=endpoint,
                              created_at=self.sim.now, last_used=self.sim.now)
-        fresh = key not in self._flows
+        previous = self._flows.get(key)
+        if previous is not None:
+            self._unref(previous)
         self._flows[key] = flow
+        target = (cluster, endpoint.ip.value, endpoint.port)
+        self._refs[target] = self._refs.get(target, 0) + 1
         self.generation += 1
         self._versions[key] = self.generation
-        if fresh:
+        if previous is None:
             self.sim.schedule(self.idle_timeout_s, self._idle_check, key)
         return flow
 
@@ -116,6 +125,7 @@ class FlowMemory:
         key = (client, service_id)
         flow = self._flows.pop(key, None)
         if flow is not None:
+            self._unref(flow)
             self.generation += 1
             self._versions[key] = self.generation
         return flow
@@ -123,6 +133,7 @@ class FlowMemory:
     def clear(self) -> None:
         """Drop every memorized flow (no on_idle callbacks fire)."""
         self._flows.clear()
+        self._refs.clear()
         self.generation += 1
         self._clear_count += 1
         self._versions.clear()
@@ -131,7 +142,7 @@ class FlowMemory:
         """Drop every flow pointing at ``endpoint`` (instance went away)."""
         victims = [key for key, flow in self._flows.items() if flow.endpoint == endpoint]
         for key in victims:
-            del self._flows[key]
+            self._unref(self._flows.pop(key))
         if victims:
             self.generation += 1
             for key in victims:
@@ -160,14 +171,23 @@ class FlowMemory:
             self.sim.schedule(max(0.0, deadline - self.sim.now), self._idle_check, key)
             return
         del self._flows[key]
+        still_referenced = self._unref(flow)
         self.generation += 1
         self._versions[key] = self.generation
         self.expirations += 1
         if self.on_idle is not None:
-            still_referenced = any(
-                other.endpoint == flow.endpoint and other.cluster is flow.cluster
-                for other in self._flows.values())
             self.on_idle(flow, still_referenced)
+
+    def _unref(self, flow: MemorizedFlow) -> bool:
+        """Count a removed flow out; True while other live flows still point
+        at its (cluster, endpoint)."""
+        target = (flow.cluster, flow.endpoint.ip.value, flow.endpoint.port)
+        left = self._refs[target] - 1
+        if left:
+            self._refs[target] = left
+        else:
+            del self._refs[target]
+        return left > 0
 
     # --------------------------------------------------------------- queries
 

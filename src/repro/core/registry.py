@@ -40,6 +40,10 @@ from repro.netsim.addresses import IPv4
 #: key of a service within one trie node's per-address map
 _PortKey = Tuple[int, str]
 
+#: the tuple a :class:`ServiceID` is — the dicts below are written with
+#: ServiceIDs (validated) and read with this plain tuple (nothing constructed)
+_IdentityTuple = Tuple[IPv4, int, str]
+
 #: per-key revalidation token (see :meth:`ServiceRegistry.generation_of`):
 #: the exact identity's stamp plus the covering-prefix fingerprint
 RegistryToken = Tuple[int, Tuple[Tuple[int, int, int], ...]]
@@ -83,7 +87,7 @@ class ServiceRegistry:
 
     def __init__(self, annotation_config: Optional[AnnotationConfig] = None):
         self.annotation_config = annotation_config or AnnotationConfig()
-        self._services: Dict[ServiceID, EdgeService] = {}
+        self._services: Dict[_IdentityTuple, EdgeService] = {}
         #: address-space index: prefix -> {(port, protocol) -> service};
         #: host registrations live at /32, subnet registrations wider
         self._trie: PrefixTrie[Dict[_PortKey, EdgeService]] = PrefixTrie()
@@ -92,16 +96,16 @@ class ServiceRegistry:
         self.generation = 0
         #: per-identity stamps — the global generation's value at each exact
         #: ServiceID's last register/deregister; feeds :meth:`generation_of`
-        self._id_stamps: Dict[ServiceID, int] = {}
+        self._id_stamps: Dict[_IdentityTuple, int] = {}
         #: generation-gated memo over :meth:`generation_of`: a token is a
         #: pure function of registry state and the global counter moves on
         #: every mutation, so a cached token is valid exactly while the
         #: generation it was computed under is still current. The controller
         #: probes the same identity several times per packet-in (service
         #: memo + install-plan epoch); this keeps that to one trie walk.
-        #: Keyed on the plain ``(addr_value, port, protocol)`` tuple rather
-        #: than a ServiceID: int/str tuple hashing is C-speed and skips a
-        #: dataclass construction on the packet-in hot path.
+        #: Keyed on ``(addr.value, port, protocol)``: a hit constructs nothing
+        #: but that tuple, and an int/str tuple hashes without a call back
+        #: into Python (``IPv4.__hash__``).
         self._token_cache: Dict[Tuple[int, int, str],
                                 Tuple[int, RegistryToken]] = {}
 
@@ -173,15 +177,19 @@ class ServiceRegistry:
     # ------------------------------------------------------------- lookups
 
     def lookup(self, addr: IPv4, port: int, protocol: str = "TCP") -> Optional[EdgeService]:
-        """Exact-identity lookup (host-registered services): O(1)."""
-        return self._services.get(ServiceID(addr, port, protocol))
+        """Exact-identity lookup (host-registered services): O(1).
+
+        Like every read below it probes with the plain tuple a
+        :class:`ServiceID` is, so an identity no ServiceID can name (port 0,
+        an unknown protocol) is simply not registered."""
+        return self._services.get((addr, port, protocol))
 
     def lookup_prefix(self, addr: IPv4, port: int,
                       protocol: str = "TCP") -> Optional[EdgeService]:
         """The packet-in decision: exact host registration first (O(1)),
         else the longest registered prefix covering ``addr`` that serves
         ``(port, protocol)``."""
-        exact = self._services.get(ServiceID(addr, port, protocol))
+        exact = self._services.get((addr, port, protocol))
         if exact is not None:
             return exact
         if not self._trie:
@@ -213,8 +221,7 @@ class ServiceRegistry:
         cached = self._token_cache.get(key)
         if cached is not None and cached[0] == self.generation:
             return cached[1]
-        sid = ServiceID(addr, port, protocol)
-        token: RegistryToken = (self._id_stamps.get(sid, 0),
+        token: RegistryToken = (self._id_stamps.get((addr, port, protocol), 0),
                                 self._trie.covering_fingerprint(addr.value))
         if len(self._token_cache) >= _TOKEN_CACHE_CAPACITY:
             # Capacity bound, not a generation shortcut: entries revalidate

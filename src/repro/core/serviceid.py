@@ -8,25 +8,42 @@ table stands in for resolution here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Iterable, NamedTuple, Optional
 
 from repro.netsim.addresses import IPv4, ip
 
 
-@dataclass(frozen=True)
-class ServiceID:
-    """``(address, port, protocol)`` — how the platform identifies a service."""
+class _Identity(NamedTuple):
+    """ServiceID's fields — a base of their own because a ``NamedTuple`` body
+    may not define ``__new__``, which is where ServiceID validates."""
 
     addr: IPv4
     port: int
     protocol: str = "TCP"
 
-    def __post_init__(self):
-        if not 0 < self.port <= 65535:
-            raise ValueError(f"bad port {self.port}")
-        if self.protocol not in ("TCP", "UDP"):
-            raise ValueError(f"unsupported protocol {self.protocol!r}")
+
+class ServiceID(_Identity):
+    """``(address, port, protocol)`` — how the platform identifies a service.
+
+    The identity *is* that tuple: it hashes and compares in C and equals the
+    plain ``(addr, port, protocol)`` tuple, so a dict keyed on ServiceIDs can
+    be probed with one and the read path never has to build a ServiceID.
+    Construction validates, so an identity that exists is a nameable one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, addr: IPv4, port: int, protocol: str = "TCP") -> "ServiceID":
+        if not 0 < port <= 65535:
+            raise ValueError(f"bad port {port}")
+        if protocol not in ("TCP", "UDP"):
+            raise ValueError(f"unsupported protocol {protocol!r}")
+        return tuple.__new__(cls, (addr, port, protocol))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "ServiceID":
+        """NamedTuple's back door (``_replace`` goes through it) validates too."""
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, text: str, dns: Optional[Dict[str, IPv4]] = None,

@@ -41,34 +41,42 @@ _BITS = 32
 _MAX = 0xFFFFFFFF
 
 
+#: netmask per prefix length — nodes share these ints, no per-node allocation
+_MASKS: Tuple[int, ...] = tuple((_MAX << (_BITS - plen)) & _MAX
+                                for plen in range(_BITS + 1))
+
+
 def prefix_mask(prefix_len: int) -> int:
     """The 32-bit netmask of a ``/prefix_len`` prefix."""
     if not 0 <= prefix_len <= _BITS:
         raise ValueError(f"prefix length out of range: {prefix_len}")
-    return (_MAX << (_BITS - prefix_len)) & _MAX if prefix_len else 0
-
-
-def _bit_after(key: int, plen: int) -> int:
-    """The key bit immediately after a ``plen``-bit prefix (0 or 1)."""
-    return (key >> (_BITS - 1 - plen)) & 1
+    return _MASKS[prefix_len]
 
 
 def _common_prefix_len(a: int, b: int, limit: int) -> int:
     """Length of the longest common prefix of two 32-bit keys, capped."""
-    diff = a ^ b
-    if diff == 0:
-        return limit
-    return min(limit, _BITS - diff.bit_length())
+    shared = _BITS - (a ^ b).bit_length()
+    return shared if shared < limit else limit
 
 
 class _Node(Generic[V]):
-    """One trie node: a (possibly value-less) prefix with ≤ 2 children."""
+    """One trie node: a (possibly value-less) prefix with ≤ 2 children.
 
-    __slots__ = ("network", "plen", "left", "right", "value", "has_value", "stamp")
+    ``mask`` and ``shift`` are functions of ``plen`` kept on the node so a
+    walk is plain arithmetic per node: the node covers ``key`` iff
+    ``network == key & mask``, and ``(key >> shift) & 1`` is the bit after
+    its prefix — the side to descend (``right`` if set).  A ``/32`` node has
+    no bit after it (``shift == -1``): walks stop there and never shift.
+    """
+
+    __slots__ = ("network", "plen", "mask", "shift", "left", "right",
+                 "value", "has_value", "stamp")
 
     def __init__(self, network: int, plen: int) -> None:
         self.network = network
         self.plen = plen
+        self.mask = _MASKS[plen]
+        self.shift = _BITS - 1 - plen
         self.left: Optional[_Node[V]] = None
         self.right: Optional[_Node[V]] = None
         self.value: Optional[V] = None
@@ -76,15 +84,6 @@ class _Node(Generic[V]):
         #: per-prefix generation — the trie-global counter's value at this
         #: prefix's last value mutation (insert/replace/:meth:`PrefixTrie.touch`)
         self.stamp = 0
-
-    def child(self, bit: int) -> "Optional[_Node[V]]":
-        return self.right if bit else self.left
-
-    def set_child(self, bit: int, node: "Optional[_Node[V]]") -> None:
-        if bit:
-            self.right = node
-        else:
-            self.left = node
 
 
 class PrefixTrie(Generic[V]):
@@ -103,88 +102,87 @@ class PrefixTrie(Generic[V]):
         None).  ``network`` must already be masked to ``prefix_len`` bits."""
         self._check_key(network, prefix_len)
         node = self._root
-        while True:
-            # Invariant: node's prefix is a (proper or equal) prefix of the
-            # target, so the walk only ever descends toward it.
-            if node.plen == prefix_len:
-                previous = node.value if node.has_value else None
-                node.value = value
-                node.has_value = True
-                if previous is None:
-                    self._size += 1
-                self.generation += 1
-                node.stamp = self.generation
-                return previous
-            bit = _bit_after(network, node.plen)
-            child = node.child(bit)
-            if child is None:
-                leaf: _Node[V] = _Node(network, prefix_len)
-                leaf.value = value
-                leaf.has_value = True
-                node.set_child(bit, leaf)
-                self._size += 1
-                self.generation += 1
-                leaf.stamp = self.generation
-                return None
-            shared = _common_prefix_len(child.network, network,
-                                        min(child.plen, prefix_len))
-            if shared == child.plen:
+        # Invariant: node's prefix is a (proper or equal) prefix of the
+        # target, so the walk only ever descends toward it.
+        while node.plen != prefix_len:
+            right = (network >> node.shift) & 1
+            child = node.right if right else node.left
+            if (child is not None and child.plen <= prefix_len
+                    and child.network == network & child.mask):
                 node = child  # child's prefix still covers the target
                 continue
-            # The target diverges inside the child's compressed run: split
-            # the edge at the shared length.
-            mid: _Node[V] = _Node(network & prefix_mask(shared), shared)
-            node.set_child(bit, mid)
-            mid.set_child(_bit_after(child.network, shared), child)
-            if shared == prefix_len:
-                mid.value = value
-                mid.has_value = True
-                valued = mid
+            target: _Node[V] = _Node(network, prefix_len)
+            branch = target
+            if child is not None:
+                # The target diverges inside the child's compressed run:
+                # split the edge at the shared length — at the target itself
+                # when it is a prefix of the child, else at a value-less
+                # branch point above both.
+                shared = _common_prefix_len(child.network, network,
+                                            min(child.plen, prefix_len))
+                if shared < prefix_len:
+                    branch = _Node(network & _MASKS[shared], shared)
+                    if (network >> branch.shift) & 1:
+                        branch.right = target
+                    else:
+                        branch.left = target
+                if (child.network >> branch.shift) & 1:
+                    branch.right = child
+                else:
+                    branch.left = child
+            if right:
+                node.right = branch
             else:
-                leaf = _Node(network, prefix_len)
-                leaf.value = value
-                leaf.has_value = True
-                mid.set_child(_bit_after(network, shared), leaf)
-                valued = leaf
+                node.left = branch
+            node = target
+        previous = node.value if node.has_value else None
+        node.value = value
+        node.has_value = True
+        if previous is None:
             self._size += 1
-            self.generation += 1
-            valued.stamp = self.generation
-            return None
+        self.generation += 1
+        node.stamp = self.generation
+        return previous
 
     def remove(self, network: int, prefix_len: int) -> Optional[V]:
         """Remove the exact prefix; returns its value or None if absent.
         Structural nodes left value-less with ≤ 1 child are spliced out so
         the node count stays proportional to the stored prefixes."""
         self._check_key(network, prefix_len)
-        path: List[Tuple[_Node[V], int]] = []  # (parent, bit taken)
+        grand: Optional[_Node[V]] = None
+        parent: Optional[_Node[V]] = None
         node = self._root
         while node.plen < prefix_len:
-            bit = _bit_after(network, node.plen)
-            child = node.child(bit)
-            if child is None or child.plen > prefix_len:
-                return None
-            if child.network != network & prefix_mask(child.plen):
-                return None  # diverged inside a compressed run
-            path.append((node, bit))
+            child = node.right if (network >> node.shift) & 1 else node.left
+            if (child is None or child.plen > prefix_len
+                    or child.network != network & child.mask):
+                return None  # absent, or diverged inside a compressed run
+            grand = parent
+            parent = node
             node = child
-        if node.plen != prefix_len or node.network != network or not node.has_value:
+        if not node.has_value:
             return None
         value = node.value
         node.value = None
         node.has_value = False
         self._size -= 1
         self.generation += 1
-        # Prune: splice value-less single-child (or leaf) nodes upward.
-        while path and not node.has_value and node.plen > 0:
-            parent, bit = path.pop()
-            if node.left is not None and node.right is not None:
-                break  # still a structural branch point
-            only = node.left if node.left is not None else node.right
-            parent.set_child(bit, only)
-            if only is not None:
-                break  # spliced the edge; parent unaffected
-            # Removed a leaf: the parent may have become redundant too.
-            node = parent
+        # Prune.  Every value-less non-root node has two children, so the
+        # splice never climbs past the grandparent: a value-less node left
+        # with ≤ 1 child gives its edge to that child, and a removed leaf
+        # can leave its parent — until now a two-child branch point — with one.
+        if parent is not None and (node.left is None or node.right is None):
+            only = node.right if node.left is None else node.left
+            if parent.right is node:
+                parent.right = only
+            else:
+                parent.left = only
+            if only is None and grand is not None and not parent.has_value:
+                only = parent.right if parent.left is None else parent.left
+                if grand.right is parent:
+                    grand.right = only
+                else:
+                    grand.left = only
         return value
 
     def touch(self, network: int, prefix_len: int) -> bool:
@@ -198,13 +196,8 @@ class PrefixTrie(Generic[V]):
         changes nothing) if the prefix is not stored.
         """
         self._check_key(network, prefix_len)
-        node: Optional[_Node[V]] = self._root
-        while node is not None and node.plen < prefix_len:
-            if node.network != network & prefix_mask(node.plen):
-                return False
-            node = node.child(_bit_after(network, node.plen))
-        if (node is None or node.plen != prefix_len
-                or node.network != network or not node.has_value):
+        node = self._find(network, prefix_len)
+        if node is None:
             return False
         self.generation += 1
         node.stamp = self.generation
@@ -212,32 +205,37 @@ class PrefixTrie(Generic[V]):
 
     # ------------------------------------------------------------- lookups
 
-    def get(self, network: int, prefix_len: int) -> Optional[V]:
-        """Exact-prefix fetch (no LPM semantics)."""
-        self._check_key(network, prefix_len)
+    def _find(self, network: int, prefix_len: int) -> Optional[_Node[V]]:
+        """The node storing exactly ``network/prefix_len``, or None."""
         node: Optional[_Node[V]] = self._root
         while node is not None and node.plen < prefix_len:
-            if node.network != network & prefix_mask(node.plen):
+            if node.network != network & node.mask:
                 return None
-            node = node.child(_bit_after(network, node.plen))
+            node = node.right if (network >> node.shift) & 1 else node.left
         if (node is None or node.plen != prefix_len
                 or node.network != network or not node.has_value):
             return None
-        return node.value
+        return node
+
+    def get(self, network: int, prefix_len: int) -> Optional[V]:
+        """Exact-prefix fetch (no LPM semantics)."""
+        self._check_key(network, prefix_len)
+        node = self._find(network, prefix_len)
+        return None if node is None else node.value
 
     def lookup(self, addr: int) -> Optional[Tuple[int, int, V]]:
         """Longest-prefix match for a host address: the most specific stored
         prefix covering ``addr`` as ``(network, prefix_len, value)``."""
         best: Optional[Tuple[int, int, V]] = None
         node: Optional[_Node[V]] = self._root
-        while node is not None:
-            if node.network != addr & prefix_mask(node.plen):
-                break  # diverged inside a compressed run
+        # A node off the address's path ends the walk: the address diverged
+        # inside a compressed run.
+        while node is not None and node.network == addr & node.mask:
             if node.has_value:
                 best = (node.network, node.plen, node.value)  # type: ignore[arg-type]
             if node.plen == _BITS:
                 break
-            node = node.child(_bit_after(addr, node.plen))
+            node = node.right if (addr >> node.shift) & 1 else node.left
         return best
 
     def covering(self, addr: int) -> List[Tuple[int, int, V]]:
@@ -245,14 +243,12 @@ class PrefixTrie(Generic[V]):
         winner is the last element)."""
         found: List[Tuple[int, int, V]] = []
         node: Optional[_Node[V]] = self._root
-        while node is not None:
-            if node.network != addr & prefix_mask(node.plen):
-                break
+        while node is not None and node.network == addr & node.mask:
             if node.has_value:
                 found.append((node.network, node.plen, node.value))  # type: ignore[arg-type]
             if node.plen == _BITS:
                 break
-            node = node.child(_bit_after(addr, node.plen))
+            node = node.right if (addr >> node.shift) & 1 else node.left
         return found
 
     def covering_fingerprint(self, addr: int) -> Tuple[Tuple[int, int, int], ...]:
@@ -269,28 +265,24 @@ class PrefixTrie(Generic[V]):
         """
         found: List[Tuple[int, int, int]] = []
         node: Optional[_Node[V]] = self._root
-        while node is not None:
-            if node.network != addr & prefix_mask(node.plen):
-                break
+        while node is not None and node.network == addr & node.mask:
             if node.has_value:
                 found.append((node.network, node.plen, node.stamp))
             if node.plen == _BITS:
                 break
-            node = node.child(_bit_after(addr, node.plen))
+            node = node.right if (addr >> node.shift) & 1 else node.left
         return tuple(found)
 
     def covers(self, addr: int) -> bool:
         """Any stored prefix covering ``addr``? (LPM hit/miss without
         materializing the match.)"""
         node: Optional[_Node[V]] = self._root
-        while node is not None:
-            if node.network != addr & prefix_mask(node.plen):
-                return False
+        while node is not None and node.network == addr & node.mask:
             if node.has_value:
                 return True
             if node.plen == _BITS:
-                return False
-            node = node.child(_bit_after(addr, node.plen))
+                break
+            node = node.right if (addr >> node.shift) & 1 else node.left
         return False
 
     # ------------------------------------------------------------ protocol
@@ -302,14 +294,7 @@ class PrefixTrie(Generic[V]):
         return self._size > 0
 
     def __contains__(self, key: Tuple[int, int]) -> bool:
-        network, prefix_len = key
-        node: Optional[_Node[V]] = self._root
-        while node is not None and node.plen < prefix_len:
-            if node.network != network & prefix_mask(node.plen):
-                return False
-            node = node.child(_bit_after(network, node.plen))
-        return (node is not None and node.plen == prefix_len
-                and node.network == network and node.has_value)
+        return self._find(*key) is not None
 
     def __iter__(self) -> Iterator[Tuple[int, int, V]]:
         """Deterministic DFS: ascending (network, prefix_len)."""
@@ -343,6 +328,6 @@ class PrefixTrie(Generic[V]):
             raise ValueError(f"prefix length out of range: {prefix_len}")
         if not 0 <= network <= _MAX:
             raise ValueError(f"network out of range: {network:#x}")
-        if network & ~prefix_mask(prefix_len) & _MAX:
+        if network & ~_MASKS[prefix_len]:
             raise ValueError(
                 f"network {network:#010x} has bits below /{prefix_len}")

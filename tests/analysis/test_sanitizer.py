@@ -174,6 +174,15 @@ def test_flowmemory_future_timestamp_is_caught():
             memory.forget(IPv4("10.0.0.50"), service)
 
 
+def test_flowmemory_reference_count_drift_is_caught():
+    with sanitized():
+        sim, memory, client, service, endpoint = _memory()
+        flow = memory.remember(client, service, cluster=None, endpoint=endpoint)
+        flow.endpoint = Endpoint(IPv4("10.1.0.3"), 8080)  # counted elsewhere
+        with pytest.raises(SanitizerError, match="recount"):
+            memory.forget(IPv4("10.0.0.50"), service)
+
+
 def test_sanitizer_off_means_no_checks():
     session = active_sanitizer()  # suspend REPRO_SANITIZE=1 if present
     if session is not None:

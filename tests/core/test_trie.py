@@ -1,5 +1,8 @@
 """Unit tests for the path-compressed LPM trie (repro.core.trie)."""
 
+import cProfile
+import random
+
 import pytest
 
 from repro.core.trie import PrefixTrie, prefix_mask
@@ -147,3 +150,78 @@ class TestStructure:
         assert trie.generation == start + 3
         trie.remove(net("10.0.0.0"), 8)  # absent: no mutation
         assert trie.generation == start + 3
+
+
+def calls(fn, *args) -> int:
+    """Python + C calls made by ``fn(*args)``, its own frame included: the
+    count the ledger's ``kcalls_per_conv`` is made of (exact, machine-
+    independent)."""
+    profile = cProfile.Profile(builtins=True)
+    profile.enable()
+    fn(*args)
+    profile.disable()
+    return sum(entry.callcount for entry in profile.getstats()) - 1  # disable()
+
+
+class TestCallBudget:
+    """A walk is arithmetic on the nodes it passes: what it costs in calls
+    is a small constant, not a multiple of its depth (three helper calls per
+    node before — ~57 for the 19-node walks of a 20 000-host registry)."""
+
+    @pytest.fixture(scope="class")
+    def populated(self):
+        """300 cloud-shaped prefixes and 20 000 host routes inside them."""
+        rng = random.Random(2019)
+        trie: PrefixTrie[int] = PrefixTrie()
+        prefixes = []
+        while len(prefixes) < 300:
+            plen = rng.randrange(12, 25)
+            network = rng.getrandbits(32) & prefix_mask(plen)
+            if trie.insert(network, plen, len(prefixes)) is None:
+                prefixes.append((network, plen))
+        hosts = set()
+        while len(hosts) < 20_000:
+            network, plen = rng.choice(prefixes)
+            hosts.add(network | rng.getrandbits(32 - plen))
+        for host in sorted(hosts):
+            trie.insert(host, 32, host)
+        # probes: stored hosts few prefixes cover, down the deepest walks
+        probes = sorted((host for host in rng.sample(sorted(hosts), 400)
+                         if len(trie.covering(host)) <= 2),
+                        key=lambda host: -self.depth(trie, host))[:40]
+        assert min(self.depth(trie, host) for host in probes) >= 15
+        return trie, probes
+
+    @staticmethod
+    def depth(trie, addr) -> int:
+        """Nodes on the walk from the root to the stored /32 ``addr``."""
+        node, nodes = trie._root, 1
+        while node.plen < 32:
+            node = node.right if (addr >> (31 - node.plen)) & 1 else node.left
+            nodes += 1
+        assert node.network == addr
+        return nodes
+
+    def test_reads_cost_a_constant(self, populated):
+        trie, probes = populated
+        for host in probes:
+            # the sibling address (stored or not) walks exactly as deep
+            for addr in (host, host ^ 1):
+                assert calls(trie.lookup, addr) == 1
+                assert calls(trie.covers, addr) == 1
+                # one list.append per covering prefix, none per node
+                assert calls(trie.covering, addr) == 1 + len(trie.covering(addr)) <= 3
+                assert calls(trie.covering_fingerprint, addr) == calls(trie.covering, addr)
+                assert calls(trie.get, addr, 32) <= 3
+                assert calls(trie.__contains__, (addr, 32)) <= 3
+
+    def test_writes_cost_a_constant(self, populated):
+        trie, probes = populated
+        for host in probes:
+            assert calls(trie.touch, host, 32) <= 3
+            assert calls(trie.remove, host, 32) <= 8
+            assert calls(trie.remove, host, 32) <= 8  # absent now
+            nodes = trie.node_count()
+            assert calls(trie.insert, host, 32, host) <= 8 + trie.node_count() - nodes
+            assert calls(trie.insert, host, 32, host) <= 8  # replace in place
+        assert all(trie.get(host, 32) == host for host in probes)

@@ -83,23 +83,34 @@ class FlowMemoryMachine(RuleBasedStateMachine):
     class _FakeCluster:
         name = "fake"
 
+    #: two clusters publishing the same two endpoints: instances are told
+    #: apart by cluster identity *and* endpoint value
+    CLUSTERS = [_FakeCluster(), _FakeCluster()]
+    ENDPOINTS = [Endpoint(ip("10.0.0.9"), 32768), Endpoint(ip("10.0.0.9"), 32769)]
+
     def __init__(self):
         super().__init__()
         self.sim = Simulator()
         self.idle = 10.0
-        self.memory = FlowMemory(self.sim, idle_timeout_s=self.idle)
+        self.memory = FlowMemory(self.sim, idle_timeout_s=self.idle,
+                                 on_idle=self._check_still_referenced)
         self.model = {}  # key -> last_used time
-        self.cluster = self._FakeCluster()
-        self.endpoint = Endpoint(ip("10.0.0.9"), 32768)
+
+    def _check_still_referenced(self, flow, still_referenced):
+        """The flag handed to on_idle is the one a scan of the live flows gives."""
+        assert still_referenced == any(
+            other.endpoint == flow.endpoint and other.cluster is flow.cluster
+            for other in self.memory._flows.values())
 
     def _expire_model(self):
         now = self.sim.now
         self.model = {k: t for k, t in self.model.items()
                       if now < t + self.idle - 1e-12}
 
-    @rule(client=st.sampled_from(CLIENTS), service=st.sampled_from(SERVICES))
-    def remember(self, client, service):
-        self.memory.remember(client, service, self.cluster, self.endpoint)
+    @rule(client=st.sampled_from(CLIENTS), service=st.sampled_from(SERVICES),
+          cluster=st.sampled_from(CLUSTERS), endpoint=st.sampled_from(ENDPOINTS))
+    def remember(self, client, service, cluster, endpoint):
+        self.memory.remember(client, service, cluster, endpoint)
         self.model[(client, service)] = self.sim.now
 
     @rule(client=st.sampled_from(CLIENTS), service=st.sampled_from(SERVICES))
@@ -116,6 +127,19 @@ class FlowMemoryMachine(RuleBasedStateMachine):
         self.memory.forget(client, service)
         self.model.pop((client, service), None)
 
+    @rule(endpoint=st.sampled_from(ENDPOINTS))
+    def forget_endpoint(self, endpoint):
+        victims = [key for key, flow in self.memory._flows.items()
+                   if flow.endpoint == endpoint]
+        assert self.memory.forget_endpoint(endpoint) == len(victims)
+        for key in victims:
+            del self.model[key]
+
+    @rule()
+    def clear(self):
+        self.memory.clear()
+        self.model.clear()
+
     @rule(dt=st.floats(min_value=0.1, max_value=15.0))
     def advance_time(self, dt):
         self.sim.run(until=self.sim.now + dt)
@@ -127,6 +151,14 @@ class FlowMemoryMachine(RuleBasedStateMachine):
         assert len(self.memory) == len(self.model)
         for key in self.model:
             assert key in self.memory
+
+    @invariant()
+    def reference_counts_are_a_recount(self):
+        recount = {}
+        for flow in self.memory._flows.values():
+            target = (flow.cluster, flow.endpoint.ip.value, flow.endpoint.port)
+            recount[target] = recount.get(target, 0) + 1
+        assert self.memory._refs == recount
 
 
 TestFlowTableMachine = FlowTableMachine.TestCase
