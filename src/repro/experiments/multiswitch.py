@@ -14,33 +14,23 @@ plain 5-tuple forwarding at the core, endpoint MAC rewrite at the egress.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core import (
-    AttachmentPoint,
-    ControllerConfig,
-    DeploymentEngine,
-    Dispatcher,
-    FlowMemory,
-    ProximityScheduler,
-    ServiceRegistry,
-    TransparentEdgeController,
-    ZoneMap,
-)
-from repro.core.annotate import AnnotationConfig
+from repro.core import AttachmentPoint, ControllerConfig, ZoneMap
 from repro.core.fabric import FabricTopology
-from repro.edge import Containerd, DockerCluster, DockerEngine, Registry, RegistryHub
-from repro.edge.cluster import KubernetesEdgeCluster
-from repro.edge.kubernetes import KubernetesCluster
-from repro.edge.registry import DOCKER_HUB_TIMING, GCR_TIMING, PRIVATE_LAN_TIMING
-from repro.edge.services import all_catalog_images
-from repro.experiments.topologies import VGW_IP, VGW_MAC, Testbed
+from repro.edge import Containerd
+from repro.experiments.topologies import (
+    VGW_IP,
+    VGW_MAC,
+    Testbed,
+    _controlled_testbed,
+    _edge_clusters,
+    _image_hub,
+)
 from repro.netsim import Network
 from repro.netsim.host import Host
-from repro.openflow import ControlChannel, OpenFlowSwitch
-from repro.ryuapp import AppManager
+from repro.openflow import OpenFlowSwitch
 from repro.simcore import TraceLog
-from repro.workloads.clients import TimedHTTPClient
 
 CORE_DPID = 100
 
@@ -58,7 +48,8 @@ def build_multiswitch_testbed(
     trace: Optional[TraceLog] = None,
 ) -> Testbed:
     """Build the access/core fabric; returns the same :class:`Testbed`
-    surface as :func:`build_testbed` (``tb.switch`` is the core switch)."""
+    surface as :func:`build_testbed` (``tb.switch`` is the core switch,
+    ``tb.access_switches`` and ``tb.fabric`` the rest of the fabric)."""
     net = Network(seed=seed, trace=trace)
     sim = net.sim
 
@@ -84,15 +75,7 @@ def build_multiswitch_testbed(
         fabric.add_link(switch.dpid, uplink_port, CORE_DPID, core_port,
                         weight=interswitch_latency_s)
 
-    # ---- registries -------------------------------------------------------
-    docker_hub = Registry("docker-hub", DOCKER_HUB_TIMING)
-    gcr = Registry("gcr.io", GCR_TIMING)
-    private = Registry("private-lan", PRIVATE_LAN_TIMING)
-    for image in all_catalog_images():
-        (gcr if image.ref.registry == "gcr.io" else docker_hub).push(image)
-        private.push(image)
-    hub = RegistryHub(docker_hub)
-    hub.add("gcr.io", gcr)
+    hub, private = _image_hub()
 
     # ---- clients ------------------------------------------------------------
     zones = ZoneMap(default_rtt_s=0.050)
@@ -109,56 +92,21 @@ def build_multiswitch_testbed(
             clients.append(client)
 
     # ---- EGS + clusters on the core switch -----------------------------------
-    clusters: Dict[str, object] = {}
-    cluster_attachments: Dict[str, AttachmentPoint] = {}
     egs = net.add_host("egs", gateway=VGW_IP, prefix_len=32)
     core_port += 1
     net.connect(egs, 0, core, core_port, latency_s=0.0001, bandwidth_bps=10e9)
     egs_attachment = AttachmentPoint(dpid=CORE_DPID, port_no=core_port,
                                      mac=egs.mac, ip=egs.ip)
     runtime = Containerd(sim, egs, hub)
-    for cluster_type in cluster_types:
-        if cluster_type == "docker":
-            cluster = DockerCluster(sim, "docker-egs",
-                                    DockerEngine(sim, runtime), zone="edge")
-        elif cluster_type == "kubernetes":
-            k8s = KubernetesCluster(sim)
-            k8s.add_node(runtime)
-            cluster = KubernetesEdgeCluster(sim, "k8s-egs", k8s, egs, runtime,
-                                            zone="edge")
-        else:
-            raise ValueError(f"unsupported cluster type {cluster_type!r}")
-        cluster.probe_rtt_s = 2 * control_latency_s
-        clusters[cluster.name] = cluster
-        cluster_attachments[cluster.name] = egs_attachment
+    clusters, cluster_attachments = _edge_clusters(
+        sim, cluster_types, lambda _type: (egs, egs_attachment, runtime),
+        private, control_latency_s)
 
-    # ---- control plane --------------------------------------------------------
-    registry = ServiceRegistry(AnnotationConfig())
-    engine = DeploymentEngine(sim)
-    memory = FlowMemory(sim, idle_timeout_s=memory_idle_timeout_s)
-    dispatcher = Dispatcher(sim, list(clusters.values()),
-                            ProximityScheduler(zones), engine, memory,
-                            zones=zones)
-    manager = AppManager(sim, service_time_s=0.0002)
-    controller = manager.register(
-        TransparentEdgeController,
-        registry=registry, dispatcher=dispatcher, memory=memory,
-        config=ControllerConfig(vgw_ip=VGW_IP, vgw_mac=VGW_MAC,
-                                switch_idle_timeout_s=switch_idle_timeout_s,
-                                fabric=fabric),
-        cluster_attachments=cluster_attachments)
-    for switch in [core] + access_switches:
-        manager.connect_switch(switch, ControlChannel(sim, latency_s=control_latency_s))
-
-    testbed = Testbed(
-        net=net, switch=core, manager=manager, controller=controller,
-        registry=registry, dispatcher=dispatcher, engine=engine, memory=memory,
-        zones=zones, hub=hub, private_registry=private, clusters=clusters,
-        egs=egs, clients=clients,
-        timed_clients=[TimedHTTPClient(c) for c in clients],
-        cloud_hosts={},
-    )
-    testbed.access_switches = access_switches  # type: ignore[attr-defined]
-    testbed.fabric = fabric  # type: ignore[attr-defined]
-    net.run(until=0.01)
-    return testbed
+    return _controlled_testbed(
+        net, [core] + access_switches, zones, hub, private, clusters,
+        cluster_attachments, egs, clients,
+        ControllerConfig(vgw_ip=VGW_IP, vgw_mac=VGW_MAC,
+                         switch_idle_timeout_s=switch_idle_timeout_s,
+                         fabric=fabric),
+        control_latency_s=control_latency_s,
+        memory_idle_timeout_s=memory_idle_timeout_s)

@@ -401,8 +401,9 @@ def a6_cell(clients: int, window: int, seed: int = 97) -> Dict[str, object]:
     Every conversation is a *new* client IP — each pays the packet-in +
     dispatch slow path — while short switch/memory idle timeouts keep the
     flow table and FlowMemory bounded. Only simulation-derived quantities
-    are returned (wall time and memory belong to ``repro.bench``, not to a
-    deterministic CSV).
+    are returned (wall time and memory belong to the performance ledger,
+    ``python -m ledger``, whose ``new_clients`` workload is this scenario —
+    not to a deterministic CSV).
     """
     from repro.workloads.scale import attach_client_bank, run_client_bank
 
@@ -431,8 +432,8 @@ def a6_scale(client_counts: Tuple[int, ...] = (1_000, 3_000, 10_000),
              window: int = 64) -> Table:
     """Closed-loop scale sweep: unique clients served through the
     transparent fast/slow path, with streaming (constant-memory) latency
-    aggregation. The ≥100k-client / ≥1M-frame configuration of the same
-    scenario runs under ``repro.bench`` where peak RSS is recorded."""
+    aggregation. Its cost per conversation — calls, retained blocks, peak
+    RSS — is measured by the ledger's ``new_clients`` workload."""
     table = Table(
         title="A6 — Scale path: unique one-shot clients through one warm service",
         columns=["clients", "window", "ok", "failed", "forwarded_frames",

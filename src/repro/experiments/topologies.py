@@ -9,8 +9,8 @@ services' origins (and the public registries) live.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import (
     AttachmentPoint,
@@ -28,6 +28,7 @@ from repro.core import (
     ZoneMap,
 )
 from repro.core.annotate import AnnotationConfig
+from repro.core.fabric import FabricTopology
 from repro.core.registry import EdgeService
 from repro.edge import (
     Containerd,
@@ -47,7 +48,7 @@ from repro.netsim.addresses import IPv4, ip, mac
 from repro.netsim.host import Host
 from repro.openflow import ControlChannel, OpenFlowSwitch
 from repro.ryuapp import AppManager
-from repro.simcore import TraceLog
+from repro.simcore import Simulator, TraceLog
 from repro.workloads.clients import TimedHTTPClient
 
 VGW_IP = ip("10.255.255.254")
@@ -77,6 +78,9 @@ class Testbed:
     clients: List[Host]
     timed_clients: List[TimedHTTPClient]
     cloud_hosts: Dict[IPv4, Host]
+    #: a multi-switch fabric's access switches (``switch`` is its core)
+    access_switches: List[OpenFlowSwitch] = field(default_factory=list)
+    fabric: Optional[FabricTopology] = None
     _next_service_suffix: int = 0
 
     @property
@@ -204,6 +208,117 @@ def add_docker_cluster(
     return cluster
 
 
+def _image_hub(use_private_registry: bool = False) -> Tuple[RegistryHub, Registry]:
+    """The public registries holding every catalog image, plus the private
+    LAN registry (the hub's mirror only when ``use_private_registry``)."""
+    docker_hub = Registry("docker-hub", DOCKER_HUB_TIMING)
+    gcr = Registry("gcr.io", GCR_TIMING)
+    private = Registry("private-lan", PRIVATE_LAN_TIMING)
+    for image in all_catalog_images():
+        target = gcr if image.ref.registry == "gcr.io" else docker_hub
+        target.push(image)
+        private.push(image)
+    hub = RegistryHub(docker_hub)
+    hub.add("gcr.io", gcr)
+    if use_private_registry:
+        hub.set_mirror(private)
+    return hub, private
+
+
+def _edge_clusters(
+    sim: Simulator,
+    cluster_types: Tuple[str, ...],
+    place: Callable[[str], Tuple[Host, AttachmentPoint, Containerd]],
+    private: Registry,
+    control_latency_s: float,
+    k8s_timing: Optional[KubernetesTiming] = None,
+) -> Tuple[Dict[str, EdgeCluster], Dict[str, AttachmentPoint]]:
+    """One edge cluster per entry of ``cluster_types``, each on the
+    ``(node, attachment, runtime)`` that ``place`` gives its type:
+    ``(clusters, cluster_attachments)`` by name."""
+    clusters: Dict[str, EdgeCluster] = {}
+    cluster_attachments: Dict[str, AttachmentPoint] = {}
+    for cluster_type in cluster_types:
+        node, attachment, runtime = place(cluster_type)
+        if cluster_type == "docker":
+            engine = DockerEngine(sim, runtime)
+            cluster: EdgeCluster = DockerCluster(sim, "docker-egs", engine, zone="edge")
+        elif cluster_type == "kubernetes":
+            k8s = KubernetesCluster(sim, timing=k8s_timing)
+            k8s.add_node(runtime)
+            cluster = KubernetesEdgeCluster(sim, "k8s-egs", k8s, node, runtime, zone="edge")
+        elif cluster_type == "serverless":
+            from repro.edge.serverless import ServerlessCluster, WasmRuntime
+
+            wasm = WasmRuntime(sim, node, module_registry=private)
+            cluster = ServerlessCluster(sim, "wasm-egs", wasm, functions={},
+                                        zone="edge")
+        else:
+            raise ValueError(f"unknown cluster type {cluster_type!r}")
+        cluster.probe_rtt_s = 2 * control_latency_s
+        clusters[cluster.name] = cluster
+        cluster_attachments[cluster.name] = attachment
+    return clusters, cluster_attachments
+
+
+def _controlled_testbed(
+    net: Network,
+    switches: List[OpenFlowSwitch],
+    zones: ZoneMap,
+    hub: RegistryHub,
+    private: Registry,
+    clusters: Dict[str, EdgeCluster],
+    cluster_attachments: Dict[str, AttachmentPoint],
+    egs: Host,
+    clients: List[Host],
+    config: ControllerConfig,
+    *,
+    control_latency_s: float,
+    memory_idle_timeout_s: float,
+    controller_service_time_s: float = 0.0002,
+    scheduler: Optional[GlobalScheduler] = None,
+    scheduler_name: Optional[str] = None,
+    retry_policy: Optional[RetryPolicy] = None,
+    breaker_config: Optional[BreakerConfig] = None,
+    use_breaker: bool = True,
+) -> Testbed:
+    """Assemble the control plane over a wired topology, give every switch
+    its own control channel, and let them connect.
+
+    ``switches[0]`` becomes ``Testbed.switch`` (the one the EGS hangs off);
+    the rest are the fabric's access switches.
+    """
+    sim = net.sim
+    registry = ServiceRegistry(AnnotationConfig(scheduler_name=scheduler_name))
+    engine = DeploymentEngine(sim, policy=retry_policy)
+    memory = FlowMemory(sim, idle_timeout_s=memory_idle_timeout_s)
+    if scheduler is None:
+        scheduler = ProximityScheduler(zones)
+    dispatcher = Dispatcher(sim, list(clusters.values()), scheduler, engine,
+                            memory, zones=zones,
+                            breaker_config=breaker_config,
+                            use_breaker=use_breaker)
+    manager = AppManager(sim, service_time_s=controller_service_time_s)
+    controller = manager.register(
+        TransparentEdgeController,
+        registry=registry, dispatcher=dispatcher, memory=memory,
+        config=config, cluster_attachments=cluster_attachments)
+    for switch in switches:
+        manager.connect_switch(switch, ControlChannel(sim, latency_s=control_latency_s))
+
+    testbed = Testbed(
+        net=net, switch=switches[0], manager=manager, controller=controller,
+        registry=registry, dispatcher=dispatcher, engine=engine, memory=memory,
+        zones=zones, hub=hub, private_registry=private, clusters=clusters,
+        egs=egs, clients=clients,
+        timed_clients=[TimedHTTPClient(c) for c in clients],
+        cloud_hosts={}, access_switches=switches[1:], fabric=config.fabric,
+    )
+    # Let the switches connect (state-change events) before experiments start.
+    net.run(until=0.01)
+    return testbed
+
+
 def build_testbed(
     seed: int = 0,
     n_clients: int = 20,
@@ -250,18 +365,7 @@ def build_testbed(
     switch = OpenFlowSwitch(sim, "ovs-egs", dpid=1)
     net.add_device(switch)
 
-    # ---- registries ----------------------------------------------------------
-    docker_hub = Registry("docker-hub", DOCKER_HUB_TIMING)
-    gcr = Registry("gcr.io", GCR_TIMING)
-    private = Registry("private-lan", PRIVATE_LAN_TIMING)
-    for image in all_catalog_images():
-        target = gcr if image.ref.registry == "gcr.io" else docker_hub
-        target.push(image)
-        private.push(image)
-    hub = RegistryHub(docker_hub)
-    hub.add("gcr.io", gcr)
-    if use_private_registry:
-        hub.set_mirror(private)
+    hub, private = _image_hub(use_private_registry)
 
     # ---- clients ------------------------------------------------------------
     clients: List[Host] = []
@@ -279,9 +383,6 @@ def build_testbed(
         zones.assign_client(client.ip, "access")
     zones.set_rtt("access", "edge", 0.001)
 
-    clusters: Dict[str, EdgeCluster] = {}
-    cluster_attachments: Dict[str, AttachmentPoint] = {}
-
     def attach_node(host: Host) -> AttachmentPoint:
         nonlocal port_no
         port_no += 1
@@ -293,66 +394,30 @@ def build_testbed(
     egs_attachment = attach_node(egs)
     shared_runtime = Containerd(sim, egs, hub, timing=containerd_timing)
 
-    for cluster_type in cluster_types:
+    def place(cluster_type: str) -> Tuple[Host, AttachmentPoint, Containerd]:
         if shared_egs:
-            node, attachment, runtime = egs, egs_attachment, shared_runtime
-        else:
-            node = net.add_host(f"egs-{cluster_type}", gateway=VGW_IP, prefix_len=32)
-            attachment = attach_node(node)
-            runtime = Containerd(sim, node, hub, timing=containerd_timing)
-        if cluster_type == "docker":
-            engine = DockerEngine(sim, runtime)
-            cluster: EdgeCluster = DockerCluster(sim, "docker-egs", engine, zone="edge")
-        elif cluster_type == "kubernetes":
-            k8s = KubernetesCluster(sim, timing=k8s_timing)
-            k8s.add_node(runtime)
-            cluster = KubernetesEdgeCluster(sim, "k8s-egs", k8s, node, runtime, zone="edge")
-        elif cluster_type == "serverless":
-            from repro.edge.serverless import ServerlessCluster, WasmRuntime
+            return egs, egs_attachment, shared_runtime
+        node = net.add_host(f"egs-{cluster_type}", gateway=VGW_IP, prefix_len=32)
+        return node, attach_node(node), Containerd(sim, node, hub, timing=containerd_timing)
 
-            wasm = WasmRuntime(sim, node, module_registry=private)
-            cluster = ServerlessCluster(sim, "wasm-egs", wasm, functions={},
-                                        zone="edge")
-        else:
-            raise ValueError(f"unknown cluster type {cluster_type!r}")
-        cluster.probe_rtt_s = 2 * control_latency_s
-        clusters[cluster.name] = cluster
-        cluster_attachments[cluster.name] = attachment
+    clusters, cluster_attachments = _edge_clusters(
+        sim, cluster_types, place, private, control_latency_s, k8s_timing)
 
-    # ---- control plane --------------------------------------------------------
-    registry = ServiceRegistry(AnnotationConfig(scheduler_name=scheduler_name))
-    engine = DeploymentEngine(sim, policy=retry_policy)
-    memory = FlowMemory(sim, idle_timeout_s=memory_idle_timeout_s)
-    if scheduler is None:
-        scheduler = ProximityScheduler(zones)
-    dispatcher = Dispatcher(sim, list(clusters.values()), scheduler, engine,
-                            memory, zones=zones,
-                            breaker_config=breaker_config,
-                            use_breaker=use_breaker)
-    manager = AppManager(sim, service_time_s=controller_service_time_s)
-    controller_config = ControllerConfig(
-        vgw_ip=VGW_IP, vgw_mac=VGW_MAC,
-        switch_idle_timeout_s=switch_idle_timeout_s,
-        auto_scale_down=auto_scale_down,
-        auto_remove_after_s=auto_remove_after_s,
-        use_flow_memory=use_flow_memory,
-    )
-    controller = manager.register(
-        TransparentEdgeController,
-        registry=registry, dispatcher=dispatcher, memory=memory,
-        config=controller_config, cluster_attachments=cluster_attachments)
-    channel = ControlChannel(sim, latency_s=control_latency_s)
-    manager.connect_switch(switch, channel)
-
-    testbed = Testbed(
-        net=net, switch=switch, manager=manager, controller=controller,
-        registry=registry, dispatcher=dispatcher, engine=engine, memory=memory,
-        zones=zones, hub=hub, private_registry=private, clusters=clusters,
-        egs=egs, clients=clients,
-        timed_clients=[TimedHTTPClient(c) for c in clients],
-        cloud_hosts={},
-    )
+    testbed = _controlled_testbed(
+        net, [switch], zones, hub, private, clusters, cluster_attachments,
+        egs, clients,
+        ControllerConfig(
+            vgw_ip=VGW_IP, vgw_mac=VGW_MAC,
+            switch_idle_timeout_s=switch_idle_timeout_s,
+            auto_scale_down=auto_scale_down,
+            auto_remove_after_s=auto_remove_after_s,
+            use_flow_memory=use_flow_memory,
+        ),
+        control_latency_s=control_latency_s,
+        memory_idle_timeout_s=memory_idle_timeout_s,
+        controller_service_time_s=controller_service_time_s,
+        scheduler=scheduler, scheduler_name=scheduler_name,
+        retry_policy=retry_policy, breaker_config=breaker_config,
+        use_breaker=use_breaker)
     testbed._cloud_latency_s = cloud_rtt_s / 2.0
-    # Let the switch connect (state-change event) before experiments start.
-    net.run(until=0.01)
     return testbed

@@ -271,7 +271,7 @@ class FlowTable:
         """Reference linear scan (pre-index semantics), counter-free.
 
         Kept as the oracle for the randomized differential tests and as the
-        baseline the packet-path microbenchmark compares against; not used
+        baseline the cost-budget test measures the index against; not used
         on any hot path.
         """
         pkt_dst = fields.get("ipv4_dst")

@@ -1,12 +1,13 @@
 """Unit tests for the path-compressed LPM trie (repro.core.trie)."""
 
-import cProfile
 import random
 
 import pytest
 
 from repro.core.trie import PrefixTrie, prefix_mask
 from repro.netsim.addresses import ip
+
+from tests.callcount import calls
 
 
 def net(dotted: str) -> int:
@@ -150,17 +151,6 @@ class TestStructure:
         assert trie.generation == start + 3
         trie.remove(net("10.0.0.0"), 8)  # absent: no mutation
         assert trie.generation == start + 3
-
-
-def calls(fn, *args) -> int:
-    """Python + C calls made by ``fn(*args)``, its own frame included: the
-    count the ledger's ``kcalls_per_conv`` is made of (exact, machine-
-    independent)."""
-    profile = cProfile.Profile(builtins=True)
-    profile.enable()
-    fn(*args)
-    profile.disable()
-    return sum(entry.callcount for entry in profile.getstats()) - 1  # disable()
 
 
 class TestCallBudget:
