@@ -25,8 +25,8 @@ Checks
 * **Finite delays** — ``schedule()`` rejects NaN/inf delays, which the
   plain heap would silently misplace.
 * **FlowMemory referential integrity** — after every mutation, each entry's
-  key matches its flow, timestamps are sane, and a ``forget_endpoint`` leaves
-  no dangling references to the endpoint.
+  key matches its flow, timestamps are sane, and the per-instance reference
+  counts are a recount of the live flows.
 * **RNG draw-count ledger** — every draw on a named stream is counted, so a
   determinism diff can name the stream that diverged instead of just
   "the traces differ".
@@ -218,17 +218,15 @@ class Sanitizer:
 
             def wrapper(memory: Any, *args: Any, **kwargs: Any) -> Any:
                 result = original(memory, *args, **kwargs)
-                sanitizer._check_flowmemory(memory, method_name, args)
+                sanitizer._check_flowmemory(memory, method_name)
                 return result
 
             return wrapper
 
-        for name in ("remember", "forget", "forget_endpoint", "clear",
-                     "_idle_check"):
+        for name in ("remember", "forget", "clear", "_idle_check"):
             self._patch(memory_cls, name, checked(name))
 
-    def _check_flowmemory(self, memory: Any, mutation: str,
-                          args: Tuple[Any, ...]) -> None:
+    def _check_flowmemory(self, memory: Any, mutation: str) -> None:
         self.checks_run["flowmemory"] += 1
         now = memory.sim.now
         for key, flow in memory._flows.items():
@@ -255,14 +253,6 @@ class Sanitizer:
                 f"FlowMemory integrity after {mutation}: per-instance "
                 f"reference counts {memory._refs!r} are not a recount of "
                 f"the live flows {recount!r}")
-        if mutation == "forget_endpoint" and args:
-            endpoint = args[0]
-            dangling = [key for key, flow in memory._flows.items()
-                        if flow.endpoint == endpoint]
-            if dangling:
-                raise SanitizerError(
-                    f"FlowMemory integrity: forget_endpoint({endpoint!r}) "
-                    f"left dangling flows {dangling!r}")
 
 
     # ------------------------------------------- post-resync verification

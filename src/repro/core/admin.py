@@ -5,20 +5,24 @@ provider: services get registered/deregistered at runtime, clusters go in
 and out of maintenance. :class:`EdgeAdmin` wraps those operations with the
 bookkeeping each one needs to be *safe* on a live data path:
 
-* deregistering a service also removes its switch flows and memorized
-  decisions (otherwise stale rewrites would keep redirecting traffic);
-* draining a cluster removes it from scheduling, invalidates every decision
-  pointing at it, and scales its instances down — in that order, so no new
-  request is dispatched to a cluster that is about to lose its instances.
+* deregistering a service also withdraws its redirections — switch flows
+  and memorized decisions (otherwise stale rewrites would keep redirecting
+  traffic);
+* draining a cluster removes it from scheduling, withdraws every
+  redirection pointing at it, and scales its instances down — in that
+  order, so no new request is dispatched to a cluster that is about to lose
+  its instances.
+
+Both go through :meth:`TransparentEdgeController.withdraw`, which deletes
+each redirection by its cookie.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.core.registry import EdgeService
 from repro.core.serviceid import ServiceID
-from repro.netsim.packet import ETH_TYPE_IP
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.controller import TransparentEdgeController
@@ -50,7 +54,7 @@ class EdgeAdmin:
                 "name": service.name,
                 "instances": instances,
                 "memorized_flows": len(
-                    self.controller.memory.flows_for_service(service.service_id)),
+                    self.controller.memory.matching(service_id=service.service_id)),
             })
         return out
 
@@ -137,44 +141,27 @@ class EdgeAdmin:
         service = controller.registry.deregister(service_id)
         if service is None:
             return None
-        # forget every memorized decision for the service
-        for flow in controller.memory.flows_for_service(service_id):
-            controller.memory.forget(flow.client, service_id)
-        # delete the redirection flows (upstream+downstream) on all switches
-        self._delete_service_flows(service_id)
+        controller.withdraw(service_id=service.service_id)
         if not undeploy:
             return None
 
         engine = controller.dispatcher.engine
         sim = controller.sim
 
-        def undeploy_proc():
+        def undeploy_proc() -> Iterator["Process"]:
             for cluster in self._all_clusters():
                 if cluster.is_created(service.spec):
                     yield engine.remove(cluster, service)
 
         return sim.spawn(undeploy_proc(), name=f"undeploy:{service.name}")
 
-    def _delete_service_flows(self, service_id: ServiceID) -> None:
-        for datapath in self.controller.manager.datapaths.values():
-            parser, ofp = datapath.ofproto_parser, datapath.ofproto
-            upstream = parser.OFPMatch(eth_type=ETH_TYPE_IP, ip_proto=6,
-                                       ipv4_dst=service_id.addr,
-                                       tcp_dst=service_id.port)
-            datapath.send_msg(parser.OFPFlowMod(datapath, match=upstream,
-                                                command=ofp.OFPFC_DELETE))
-            # downstream flows rewrite FROM instance endpoints; they carry
-            # the same cookies but matching them generically is not possible
-            # without endpoint knowledge — use the memorized endpoints.
-            # (Memorized flows were captured before forgetting; conservative
-            # fallback: downstream entries expire via their idle timeout.)
-
     def drain_cluster(self, name: str) -> Optional["Process"]:
         """Take a cluster out of service (maintenance).
 
         1. remove it from the Dispatcher's candidate list (no new FAST/BEST
            placements),
-        2. invalidate memorized flows pointing at it and their switch rules,
+        2. withdraw every redirection to it (memorized decisions, switch
+           flows and their load),
         3. scale down everything it runs.
         """
         controller = self.controller
@@ -184,16 +171,12 @@ class EdgeAdmin:
             return None
         dispatcher.clusters.remove(cluster)
         self._drained[name] = cluster
-
-        for flow in list(controller.memory._flows.values()):
-            if flow.cluster is cluster:
-                controller.memory.forget(flow.client, flow.service_id)
-                self._delete_service_flows(flow.service_id)
+        controller.withdraw(cluster=cluster)
 
         engine = dispatcher.engine
         sim = controller.sim
 
-        def drain_proc():
+        def drain_proc() -> Iterator["Process"]:
             for service in controller.registry.services():
                 if cluster.is_ready(service.spec):
                     yield engine.scale_down(cluster, service)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core.cookies import (
     KIND_MISS,
@@ -151,23 +151,32 @@ PLAN_CACHE_CAPACITY = 4096
 #: plan memo key: (client, addressed dst, service identity, cluster, endpoint)
 _PlanKey = Tuple[IPv4, IPv4, ServiceID, EdgeCluster, Endpoint]
 
+#: priority bands of redirection and plain L3 route flows
+SERVICE_FLOW_PRIORITY = 20
+ROUTE_FLOW_PRIORITY = 10
+
+
+class Redirect(NamedTuple):
+    """One live redirection in the controller's cookie ledger: every flow
+    its install wired (all hops, both directions) carries the cookie it is
+    filed under."""
+
+    cluster: EdgeCluster
+    #: None for a flow adopted on resync whose match names no client
+    client: Optional[IPv4]
+    service_id: ServiceID
+    endpoint: Endpoint
+
 
 @dataclass
 class ControllerConfig:
     """Deploy-time configuration of the controller.
 
-    Resilience knobs (see docs/faults.md):
-
-    * ``evict_dead_instances`` — when a memorized instance turns out to be
-      gone (crashed container, cluster outage, scale-down elsewhere), forget
-      **every** client's memorized flow to that endpoint and delete the
-      matching switch flows, instead of only dropping the one triggering
-      entry. Keeps other clients from being switched into a dead endpoint
-      until their own idle timeout.
-    * The dispatcher's circuit breaker and the deployment engine's
-      retry/deadline policy are configured on those objects directly
-      (:class:`~repro.core.resilience.BreakerConfig`,
-      :class:`~repro.core.resilience.RetryPolicy`).
+    Resilience knobs (see docs/faults.md) live elsewhere: the dispatcher's
+    circuit breaker and the deployment engine's retry/deadline policy are
+    configured on those objects directly
+    (:class:`~repro.core.resilience.BreakerConfig`,
+    :class:`~repro.core.resilience.RetryPolicy`).
 
     Failure accounting lands in :attr:`TransparentEdgeController.stats`
     (``dispatch_failures``, ``instances_evicted``) — a dispatch failure
@@ -182,9 +191,6 @@ class ControllerConfig:
     switch_idle_timeout_s: float = 10.0
     #: idle timeout of plain L3 route flows
     route_idle_timeout_s: float = 30.0
-    #: priority bands
-    service_flow_priority: int = 20
-    route_flow_priority: int = 10
     #: automatically scale down instances whose last memorized flow expired
     auto_scale_down: bool = True
     #: after an auto scale-down, Remove the service's containers/objects if
@@ -198,9 +204,6 @@ class ControllerConfig:
     fabric: Optional["FabricTopology"] = None
     #: statically known hosts (cloud servers, cluster nodes): ip -> attachment
     static_hosts: Dict[IPv4, AttachmentPoint] = field(default_factory=dict)
-    #: evict a vanished instance from FlowMemory for ALL clients and delete
-    #: its switch flows (see class docstring)
-    evict_dead_instances: bool = True
 
 
 #: packet-ins held per datapath while its resync is in flight; beyond this
@@ -276,13 +279,10 @@ class TransparentEdgeController(RyuApp):
             capacity=PLAN_CACHE_CAPACITY)
         #: pending dispatches: (client, service_id) -> buffered packet-ins
         self._pending: Dict[Tuple[IPv4, ServiceID], List] = {}
-        #: cookie -> cluster name (for load bookkeeping on FlowRemoved and
-        #: for reclaiming stale flows after a resync round)
-        self._cookie_cluster: Dict[int, str] = {}
-        #: cookie -> client (when known): lets a handover release the
-        #: client's load bookkeeping synchronously instead of waiting for
-        #: the switches' FlowRemoved notifications
-        self._cookie_client: Dict[int, IPv4] = {}
+        #: the cookie ledger: cookie -> live redirection. Each record holds
+        #: one count of its cluster's dispatcher load until :meth:`_release`
+        #: (FlowRemoved, stale reclaim, :meth:`withdraw`) pops it.
+        self._redirects: Dict[int, Redirect] = {}
         #: controller incarnation, embedded in every cookie; bumped on
         #: warm restart so pre-crash flows are recognizable on the wire
         self.epoch = 1
@@ -513,13 +513,14 @@ class TransparentEdgeController(RyuApp):
             return
         if remembered is not None:
             # Instance vanished (crashed, cluster outage, or scaled down
-            # elsewhere); forget and re-dispatch. With eviction enabled this
-            # also drops every OTHER client's memory/flows to the dead
-            # endpoint — they would otherwise keep being switched into it.
-            if self.cfg.evict_dead_instances:
-                self._evict_dead_instance(remembered.cluster, remembered.endpoint)
-            else:
-                self.memory.forget(client, service.service_id)
+            # elsewhere): take down EVERY client's redirection to it — the
+            # others would otherwise keep being switched into it until their
+            # own idle timeout — then re-dispatch.
+            endpoint = remembered.endpoint
+            flows = self.withdraw(endpoint=endpoint)
+            self.stats["instances_evicted"] += 1
+            self.log("evicted-dead-instance", endpoint=str(endpoint),
+                     cluster=remembered.cluster.name, flows=flows)
 
         self.stats["service_dispatches"] += 1
         self._pending[key] = [(datapath, msg)]
@@ -711,13 +712,12 @@ class TransparentEdgeController(RyuApp):
             return
 
         cookie = self._alloc_cookie(KIND_SERVICE)
-        # Load accounting is keyed to the cookie ledger: EVERY registered
-        # cookie counts one installed service flow (re-miss reinstalls
-        # included — their removal decrements, so skipping the increment
-        # here would steal a count from the cluster), and every ledger pop
-        # (FlowRemoved, handover release, stale reclaim) releases it once.
-        self._cookie_cluster[cookie] = cluster.name
-        self._cookie_client[cookie] = client
+        # Load accounting is keyed to the cookie ledger: EVERY record counts
+        # one installed redirection (re-miss reinstalls included — their
+        # removal decrements, so skipping the increment here would steal a
+        # count from the cluster), and `_release` gives it back once.
+        self._redirects[cookie] = Redirect(cluster, client, service.service_id,
+                                           endpoint)
         self.dispatcher.note_flow_installed(cluster)
 
         # Install farthest-first and downstream-before-upstream: every
@@ -732,18 +732,16 @@ class TransparentEdgeController(RyuApp):
                 # Flows already sent to other hops idle out on their own.
                 self.log("missing-datapath", dpid=dpid)
                 self.stats["dispatch_failures"] += 1
-                self._cookie_cluster.pop(cookie, None)
-                self._cookie_client.pop(cookie, None)
-                self.dispatcher.note_flow_removed(cluster)
+                self._release(cookie)
                 self._release_toward_cloud(pending)
                 return
             hop_dp.send_msg(parser.OFPFlowMod(
                 hop_dp, match=down_match, actions=down_actions,
-                priority=self.cfg.service_flow_priority,
+                priority=SERVICE_FLOW_PRIORITY,
                 idle_timeout=self.cfg.switch_idle_timeout_s, cookie=cookie))
             hop_dp.send_msg(parser.OFPFlowMod(
                 hop_dp, match=up_match, actions=up_actions,
-                priority=self.cfg.service_flow_priority,
+                priority=SERVICE_FLOW_PRIORITY,
                 idle_timeout=self.cfg.switch_idle_timeout_s, cookie=cookie,
                 flags=flags))
 
@@ -763,40 +761,50 @@ class TransparentEdgeController(RyuApp):
                      endpoint=str(endpoint), cluster=cluster.name,
                      hops=len(plan.hops))
 
-    # ------------------------------------------------------ dead instance GC
+    # -------------------------------------------------------------- teardown
 
-    def _evict_dead_instance(self, cluster: EdgeCluster, endpoint: Endpoint) -> None:
-        """An instance endpoint turned out dead: purge every client's
-        FlowMemory entry to it and delete the matching switch flows.
+    def withdraw(self, *, client: Optional[IPv4] = None,
+                 service_id: Optional[ServiceID] = None,
+                 cluster: Optional[EdgeCluster] = None,
+                 endpoint: Optional[Endpoint] = None) -> int:
+        """Take down every redirection matching all the given fields: the
+        one teardown behind dead-instance eviction, handover, deregister and
+        drain. ``cluster`` is compared by identity.
 
-        Without this, every other client with a memorized flow to the dead
-        endpoint keeps getting switched into it until their own re-miss —
-        with a still-live switch flow, until the idle timeout."""
-        flows = self.memory.flows_for_endpoint(endpoint)
-        self.memory.forget_endpoint(endpoint)
-        self.stats["instances_evicted"] += 1
+        Forgets the matching FlowMemory decisions, deletes each matching
+        ledger record's flows — every hop, both directions — by its cookie
+        on every datapath, and releases its load at once, so the switches'
+        later FlowRemoved finds nothing left to release. Returns the number
+        of memorized decisions forgotten."""
+        if client is None and service_id is None and cluster is None and endpoint is None:
+            raise ValueError("withdraw needs at least one selector")
+        forgotten = self.memory.matching(client=client, service_id=service_id,
+                                         cluster=cluster, endpoint=endpoint)
+        for flow in forgotten:
+            self.memory.forget(flow.client, flow.service_id)
+        cookies = sorted(
+            cookie for cookie, record in self._redirects.items()
+            if (client is None or record.client == client)
+            and (service_id is None or record.service_id == service_id)
+            and (cluster is None or record.cluster is cluster)
+            and (endpoint is None or record.endpoint == endpoint))
         for datapath in self.manager.datapaths.values():
             parser, ofp = datapath.ofproto_parser, datapath.ofproto
-            for flow in flows:
-                sid = flow.service_id
-                # The exact matches _install_and_release installed: first-hop
-                # upstream, rewritten transit/egress upstream, downstream.
-                for match in (
-                    parser.OFPMatch(eth_type=ETH_TYPE_IP, ip_proto=6,
-                                    ipv4_src=flow.client, ipv4_dst=sid.addr,
-                                    tcp_dst=sid.port),
-                    parser.OFPMatch(eth_type=ETH_TYPE_IP, ip_proto=6,
-                                    ipv4_src=flow.client, ipv4_dst=endpoint.ip,
-                                    tcp_dst=endpoint.port),
-                    parser.OFPMatch(eth_type=ETH_TYPE_IP, ip_proto=6,
-                                    ipv4_src=endpoint.ip, tcp_src=endpoint.port,
-                                    ipv4_dst=flow.client),
-                ):
-                    datapath.send_msg(parser.OFPFlowMod(
-                        datapath, match=match, command=ofp.OFPFC_DELETE,
-                        priority=self.cfg.service_flow_priority))
-        self.log("evicted-dead-instance", endpoint=str(endpoint),
-                 cluster=cluster.name, flows=len(flows))
+            for cookie in cookies:
+                datapath.send_msg(parser.OFPFlowMod(
+                    datapath, match=parser.OFPMatch(),
+                    command=ofp.OFPFC_DELETE, cookie=cookie))
+        for cookie in cookies:
+            self._release(cookie)
+        return len(forgotten)
+
+    def _release(self, cookie: int) -> None:
+        """Pop one redirection off the ledger and give its cluster's load
+        back — the only load-release path, and a no-op for a cookie that is
+        not (or no longer) filed."""
+        record = self._redirects.pop(cookie, None)
+        if record is not None:
+            self.dispatcher.note_flow_removed(record.cluster)
 
     # --------------------------------------------------------- plain routing
 
@@ -835,7 +843,7 @@ class TransparentEdgeController(RyuApp):
                 ]
             hop_dp.send_msg(parser.OFPFlowMod(
                 hop_dp, match=match, actions=actions,
-                priority=self.cfg.route_flow_priority,
+                priority=ROUTE_FLOW_PRIORITY,
                 idle_timeout=self.cfg.route_idle_timeout_s,
                 cookie=make_cookie(self.epoch, KIND_ROUTE, 0)))
             if index == 0:
@@ -849,36 +857,7 @@ class TransparentEdgeController(RyuApp):
 
     @set_ev_cls(EventOFPFlowRemoved, MAIN_DISPATCHER)
     def on_flow_removed(self, ev) -> None:
-        cookie = ev.msg.cookie
-        cluster_name = self._cookie_cluster.pop(cookie, None)
-        self._cookie_client.pop(cookie, None)
-        if cluster_name is not None:
-            for cluster in self.dispatcher.clusters:
-                if cluster.name == cluster_name:
-                    self.dispatcher.note_flow_removed(cluster)
-                    break
-
-    def release_client_flows(self, client: IPv4) -> int:
-        """Release the load bookkeeping for every live service flow of
-        ``client`` (handover path): the caller is about to delete the
-        client's switch flows, so their per-cluster load must come back
-        *now* — synchronously — not whenever the switches' FlowRemoved
-        notifications arrive (or never, for an unreachable datapath).
-        Popping the cookie ledger here makes the later FlowRemoved a
-        no-op, so the release never double-counts. Returns the number of
-        flows released."""
-        cookies = sorted(cookie for cookie, owner in self._cookie_client.items()
-                         if owner == client)
-        for cookie in cookies:
-            self._cookie_client.pop(cookie, None)
-            cluster_name = self._cookie_cluster.pop(cookie, None)
-            if cluster_name is None:
-                continue
-            for cluster in self.dispatcher.clusters:
-                if cluster.name == cluster_name:
-                    self.dispatcher.note_flow_removed(cluster)
-                    break
-        return len(cookies)
+        self._release(ev.msg.cookie)
 
     # ------------------------------------------------- crash / warm restart
 
@@ -902,8 +881,7 @@ class TransparentEdgeController(RyuApp):
         # Crash reset: a warm-restarted controller must forget every memo.
         self._service_memo.flush()
         self._plan_memo.flush()
-        self._cookie_cluster.clear()
-        self._cookie_client.clear()
+        self._redirects.clear()
         for cluster in self.dispatcher.clusters:
             self.dispatcher.load[cluster.name] = 0
         for dpid in list(self._resync):
@@ -938,7 +916,7 @@ class TransparentEdgeController(RyuApp):
         if not self._resync:
             self._resync_round_dpids = set()
             self._resync_round_aborted = False
-            self._resync_round_candidates = set(self._cookie_cluster)
+            self._resync_round_candidates = set(self._redirects)
             self._resync_seen_cookies = set()
         self._resync_round_dpids.add(datapath.id)
         self._resync[datapath.id] = _ResyncState(started_at=self.sim.now)
@@ -1000,18 +978,11 @@ class TransparentEdgeController(RyuApp):
             self._process_packet_in(state.buffered.popleft())
 
     def _reclaim_stale_cookies(self) -> None:
-        stale = [cookie for cookie in self._resync_round_candidates
-                 if cookie in self._cookie_cluster
-                 and cookie not in self._resync_seen_cookies]
-        for cookie in sorted(stale):
-            cluster_name = self._cookie_cluster.pop(cookie, None)
-            self._cookie_client.pop(cookie, None)
-            if cluster_name is None:
-                continue
-            for cluster in self.dispatcher.clusters:
-                if cluster.name == cluster_name:
-                    self.dispatcher.note_flow_removed(cluster)
-                    break
+        stale = sorted(cookie for cookie in self._resync_round_candidates
+                       if cookie in self._redirects
+                       and cookie not in self._resync_seen_cookies)
+        for cookie in stale:
+            self._release(cookie)
         if stale:
             self.log("reclaimed-stale-cookies", count=len(stale))
 
@@ -1059,10 +1030,9 @@ class TransparentEdgeController(RyuApp):
             first_hop, client, service, cluster, endpoint = verdict
             if first_hop:
                 self._resync_seen_cookies.add(cookie)
-            if cookie not in self._cookie_cluster:
-                self._cookie_cluster[cookie] = cluster.name
-                if client is not None:
-                    self._cookie_client[cookie] = client
+            if cookie not in self._redirects:
+                self._redirects[cookie] = Redirect(cluster, client,
+                                                   service.service_id, endpoint)
                 self.dispatcher.note_flow_installed(cluster)
             if (self.cfg.use_flow_memory and client is not None
                     and self.memory.peek(client, service.service_id) is None):
@@ -1158,7 +1128,7 @@ class TransparentEdgeController(RyuApp):
     def _auto_remove_check(self, cluster: EdgeCluster, service: EdgeService) -> None:
         """Remove the (stopped) containers/objects of a service that stayed
         unused through the grace period (fig. 4's Remove phase)."""
-        if self.memory.flows_for_service(service.service_id):
+        if self.memory.matching(service_id=service.service_id):
             return  # came back into use
         if cluster.is_ready(service.spec):
             return  # re-deployed meanwhile

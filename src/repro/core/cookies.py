@@ -13,7 +13,9 @@ Every FlowMod the controller installs carries a nonzero cookie encoding
   miss entries age out or get replaced on their own).
 * **plan id** — a per-epoch sequence number; all flows of one redirection
   install (both directions, every hop) share it, so the cookie identifies
-  the *install*, which is what load bookkeeping counts.
+  the *install*: it is what load bookkeeping counts, and what teardown
+  (``TransparentEdgeController.withdraw``) deletes by — one cookie-filtered
+  ``OFPFC_DELETE`` removes the whole redirection.
 
 The layout leaves the low 28 bits for the plan id (~268M installs per
 epoch), 4 bits for the kind, and the rest for the epoch — cookies are
@@ -28,7 +30,7 @@ KIND_MASK = 0xF
 PLAN_MASK = (1 << KIND_SHIFT) - 1
 
 #: flow kinds
-KIND_SERVICE = 1  # redirection pair installed by _install_and_release
+KIND_SERVICE = 1  # redirection installed by _install_and_release; withdrawn by cookie
 KIND_ROUTE = 2  # plain L3 route flow
 KIND_MISS = 3  # the priority-0 table-miss entry
 

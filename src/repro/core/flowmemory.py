@@ -138,17 +138,6 @@ class FlowMemory:
         self._clear_count += 1
         self._versions.clear()
 
-    def forget_endpoint(self, endpoint: Endpoint) -> int:
-        """Drop every flow pointing at ``endpoint`` (instance went away)."""
-        victims = [key for key, flow in self._flows.items() if flow.endpoint == endpoint]
-        for key in victims:
-            self._unref(self._flows.pop(key))
-        if victims:
-            self.generation += 1
-            for key in victims:
-                self._versions[key] = self.generation
-        return len(victims)
-
     def version_of(self, client: IPv4, service_id: ServiceID) -> Tuple[int, int]:
         """Per-key revalidation token for ``(client, service_id)``.
 
@@ -191,15 +180,17 @@ class FlowMemory:
 
     # --------------------------------------------------------------- queries
 
-    def flows_for_service(self, service_id: ServiceID) -> List[MemorizedFlow]:
-        return [flow for flow in self._flows.values() if flow.service_id == service_id]
-
-    def flows_of(self, client: IPv4) -> List[MemorizedFlow]:
-        """Every memorized flow belonging to ``client`` (handover support)."""
-        return [flow for flow in self._flows.values() if flow.client == client]
-
-    def flows_for_endpoint(self, endpoint: Endpoint) -> List[MemorizedFlow]:
-        return [flow for flow in self._flows.values() if flow.endpoint == endpoint]
+    def matching(self, client: Optional[IPv4] = None,
+                 service_id: Optional[ServiceID] = None,
+                 cluster: Optional["EdgeCluster"] = None,
+                 endpoint: Optional[Endpoint] = None) -> List[MemorizedFlow]:
+        """Every memorized flow matching all the given fields (None: any);
+        ``cluster`` is compared by identity."""
+        return [flow for flow in self._flows.values()
+                if (client is None or flow.key[0] == client)
+                and (service_id is None or flow.key[1] == service_id)
+                and (cluster is None or flow.cluster is cluster)
+                and (endpoint is None or flow.endpoint == endpoint)]
 
     def __len__(self) -> int:
         return len(self._flows)

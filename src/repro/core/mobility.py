@@ -6,8 +6,8 @@ module adds what the related work calls *Follow Me Edge* (Taleb et al. [12],
 decisions point at what is no longer the nearest edge. A handover
 
 1. updates the client's zone in the :class:`~repro.core.zones.ZoneMap`,
-2. forgets the client's FlowMemory entries,
-3. deletes the client's redirection flows on every switch,
+2. withdraws the client's redirections — FlowMemory entries, switch flows
+   and their load (:meth:`TransparentEdgeController.withdraw`),
 
 so the very next packet re-enters the dispatch path and lands on the edge
 cluster nearest to the *new* location — still fully transparent to the
@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.netsim.addresses import IPv4
-from repro.netsim.packet import ETH_TYPE_IP
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.controller import TransparentEdgeController
@@ -41,32 +40,9 @@ class MobilityManager:
         if new_zone is not None:
             dispatcher.set_client_zone(client, new_zone)
 
-        # 2. forget the client's memorized decisions
-        invalidated = 0
-        for flow in dispatcher.memory.flows_of(client):
-            dispatcher.memory.forget(flow.client, flow.service_id)
-            invalidated += 1
-
-        # 2b. release the old cluster's load accounting for every still-
-        # installed flow of this client. The deletes below do trigger
-        # FlowRemoved notifications, but releasing synchronously via the
-        # cookie ledger (which makes those notifications no-ops) keeps the
-        # LoadAwareScheduler's view correct at the instant of the handover
-        # — and even when a datapath holding the flows is unreachable.
-        released = controller.release_client_flows(client)
-
-        # 3. remove the client's redirection flows from every switch
-        for datapath in controller.manager.datapaths.values():
-            parser, ofp = datapath.ofproto_parser, datapath.ofproto
-            upstream = parser.OFPMatch(eth_type=ETH_TYPE_IP, ip_proto=6,
-                                       ipv4_src=client)
-            downstream = parser.OFPMatch(eth_type=ETH_TYPE_IP, ip_proto=6,
-                                         ipv4_dst=client)
-            for match in (upstream, downstream):
-                datapath.send_msg(parser.OFPFlowMod(
-                    datapath, match=match, command=ofp.OFPFC_DELETE))
+        invalidated = controller.withdraw(client=client)
         self.handovers += 1
         controller.log("handover", client=str(client),
                        zone=new_zone or dispatcher.client_zone(client),
-                       invalidated=invalidated, released=released)
+                       invalidated=invalidated)
         return invalidated

@@ -260,9 +260,10 @@ def _control_view(controller: Any, alive: bool) -> ControlView:
                         endpoint_ip=flow.endpoint.ip,
                         endpoint_port=flow.endpoint.port,
                         cluster=flow.cluster.name)
-             for flow in controller.memory._flows.values()),
+             for flow in controller.memory.matching()),
             key=lambda m: (m.client, m.service_addr, m.service_port)))
-    cookie_cluster = tuple(sorted(controller._cookie_cluster.items()))
+    cookie_cluster = tuple(sorted((cookie, record.cluster.name)
+                                  for cookie, record in controller._redirects.items()))
     return ControlView(alive=alive, epoch=controller.epoch,
                        use_flow_memory=controller.cfg.use_flow_memory,
                        vgw_ip=controller.cfg.vgw_ip,

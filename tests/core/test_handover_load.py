@@ -94,11 +94,17 @@ class TestHandoverLoadAccounting:
                                        svc.service_id.port) for i in range(2)]
         tb.run(until=tb.sim.now + 0.3)  # reinstalled, still inside idle window
         assert all(r.done and r.result.ok for r in requests)
-        released = tb.controller.release_client_flows(tb.clients[0].ip)
-        assert released == 1
+        forgotten = tb.controller.withdraw(client=tb.clients[0].ip)
+        assert forgotten == 1
         assert tb.dispatcher.load.get(CLUSTER, 0) == 1
-        # Releasing again is a no-op (ledger already popped).
-        assert tb.controller.release_client_flows(tb.clients[0].ip) == 0
+        assert [record.client for record in tb.controller._redirects.values()] \
+            == [tb.clients[1].ip]
+        # Withdrawing again is a no-op (ledger already popped).
+        assert tb.controller.withdraw(client=tb.clients[0].ip) == 0
+        assert tb.dispatcher.load.get(CLUSTER, 0) == 1
+        # The switch's FlowRemoved for the deleted flows finds nothing left
+        # to release.
+        tb.run(until=tb.sim.now + 0.2)
         assert tb.dispatcher.load.get(CLUSTER, 0) == 1
 
     def test_set_client_zone_updates_map_and_location(self):

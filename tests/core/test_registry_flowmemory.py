@@ -137,20 +137,27 @@ class TestFlowMemory:
         self.sim.run()
         assert expired == []
 
-    def test_forget_endpoint_drops_all(self):
+    def test_matching_endpoint_selects_all_its_clients(self):
         for suffix in range(3):
             self.memory.remember(ip(f"10.0.0.{suffix + 1}"), SID,
                                  self.cluster, self.endpoint)
         other = Endpoint(ip("10.0.0.9"), 40000)
         self.memory.remember(ip("10.0.0.9"), SID, self.cluster, other)
-        assert self.memory.forget_endpoint(self.endpoint) == 3
+        victims = self.memory.matching(endpoint=self.endpoint)
+        assert len(victims) == 3
+        for flow in victims:
+            self.memory.forget(flow.client, flow.service_id)
         assert len(self.memory) == 1
 
     def test_flows_for_service_and_endpoint(self):
         self.memory.remember(ip("10.0.0.1"), SID, self.cluster, self.endpoint)
         self.memory.remember(ip("10.0.0.2"), SID2, self.cluster, self.endpoint)
-        assert len(self.memory.flows_for_service(SID)) == 1
-        assert len(self.memory.flows_for_endpoint(self.endpoint)) == 2
+        assert len(self.memory.matching(service_id=SID)) == 1
+        assert len(self.memory.matching(endpoint=self.endpoint)) == 2
+        assert len(self.memory.matching(client=ip("10.0.0.2"),
+                                        endpoint=self.endpoint)) == 1
+        assert self.memory.matching(cluster=object()) == []
+        assert len(self.memory.matching()) == 2
 
     def test_re_remember_replaces(self):
         client = ip("10.0.0.1")

@@ -193,7 +193,7 @@ class TestReclaimAfterChannelOutage:
         assert all(p.result is not None and p.result.error is None
                    for p in procs)
         assert tb.dispatcher.load["docker-egs"] > 0
-        assert tb.controller._cookie_cluster
+        assert tb.controller._redirects
         channel = tb.manager.datapaths[tb.switch.dpid].channel
         channel.disconnect()
         # Long enough for every flow to idle out; the FlowRemoved
@@ -205,6 +205,6 @@ class TestReclaimAfterChannelOutage:
         tb.run(until=tb.sim.now + 3.0)
         # Revival resync saw an empty table: bookkeeping reclaimed.
         assert tb.manager.datapaths[tb.switch.dpid].alive
-        assert tb.controller._cookie_cluster == {}
+        assert tb.controller._redirects == {}
         assert tb.dispatcher.load["docker-egs"] == 0
         assert tb.controller.audit_stale_service_flows() == 0

@@ -127,7 +127,7 @@ class TestDeadInstanceEviction:
         tb.run(until=8.0)
         assert second.done and second.result.ok
         endpoint = cluster.endpoint(svc.spec)
-        assert len(tb.memory.flows_for_endpoint(endpoint)) == 2
+        assert len(tb.memory.matching(endpoint=endpoint)) == 2
 
         # the instance dies out-of-band (no packet-in tells the controller)
         remove = tb.engine.remove(cluster, svc)
@@ -158,25 +158,3 @@ class TestDeadInstanceEviction:
         tb.run(until=40.0)
         assert request.done and request.result.ok
         assert tb.memory.lookup(client0, sid) is not None
-
-    def test_eviction_can_be_disabled(self):
-        tb = build_testbed(seed=6, n_clients=2, cluster_types=("docker",),
-                           memory_idle_timeout_s=3600.0)
-        tb.controller.cfg.evict_dead_instances = False
-        svc = tb.register_catalog_service("nginx")
-        cluster = tb.clusters["docker-egs"]
-        sid = svc.service_id
-        for index in (0, 1):
-            request = tb.client(index).fetch(sid.addr, sid.port)
-            tb.run(until=tb.sim.now + 15.0)
-            assert request.done and request.result.ok
-        remove = tb.engine.remove(cluster, svc)
-        tb.run(until=tb.sim.now + 10.0)
-        assert remove.done
-
-        request = tb.client(0).fetch(sid.addr, sid.port)
-        tb.run(until=tb.sim.now + 30.0)
-        assert request.done and request.result.ok
-        assert tb.controller.stats["instances_evicted"] == 0
-        # legacy behaviour: only the re-missing client forgets
-        assert tb.memory.lookup(tb.clients[1].ip, sid) is not None

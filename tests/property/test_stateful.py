@@ -129,11 +129,9 @@ class FlowMemoryMachine(RuleBasedStateMachine):
 
     @rule(endpoint=st.sampled_from(ENDPOINTS))
     def forget_endpoint(self, endpoint):
-        victims = [key for key, flow in self.memory._flows.items()
-                   if flow.endpoint == endpoint]
-        assert self.memory.forget_endpoint(endpoint) == len(victims)
-        for key in victims:
-            del self.model[key]
+        for flow in self.memory.matching(endpoint=endpoint):
+            assert self.memory.forget(flow.client, flow.service_id) is flow
+            del self.model[flow.key]
 
     @rule()
     def clear(self):
