@@ -76,80 +76,8 @@ class AttachmentPoint:
     ip: IPv4
 
 
-class _HostTable(Dict[IPv4, Tuple[int, int, MAC]]):
-    """The learned-hosts dict plus version counters.
-
-    Memoized install plans embed host locations; any write — including the
-    direct writes testbed builders do (``controller.hosts[ip] = ...``) —
-    bumps the global ``version`` (the plan memo's "did anything move"
-    generation) and stamps the written key, so :meth:`version_of` can
-    revalidate a plan against *that client's* location only.
-    """
-
-    __slots__ = ("version", "_key_versions", "_clears")
-
-    def __init__(self, *args, **kwargs):
-        self.version = 0
-        self._key_versions: Dict[IPv4, int] = {}
-        self._clears = 0
-        super().__init__(*args, **kwargs)
-
-    def __setitem__(self, key: IPv4, value: Tuple[int, int, MAC]) -> None:
-        super().__setitem__(key, value)
-        self.version += 1
-        self._key_versions[key] = self.version
-
-    def __delitem__(self, key: IPv4) -> None:
-        super().__delitem__(key)
-        self.version += 1
-        self._key_versions[key] = self.version
-
-    def pop(self, *args):
-        self.version += 1
-        if args:
-            self._key_versions[args[0]] = self.version
-        return super().pop(*args)
-
-    def clear(self) -> None:
-        super().clear()
-        self.version += 1
-        self._clears += 1
-        self._key_versions.clear()
-
-    def update(self, *args, **kwargs) -> None:
-        super().update(*args, **kwargs)
-        self.version += 1
-        for key in dict(*args, **kwargs):
-            self._key_versions[key] = self.version
-
-    def version_of(self, key: IPv4) -> Tuple[int, int]:
-        """Per-key revalidation token: unchanged iff this host's location
-        saw no write (and no wholesale clear) since the token was taken."""
-        return (self._clears, self._key_versions.get(key, 0))
-
-
-@dataclass
-class _InstallPlan:
-    """A memoized slow-path decision: everything `_install_and_release`
-    computes that does not change between identical packet-ins — host
-    locations, the dpid path, and the per-hop matches/action lists. Cookies
-    are NOT part of the plan (every install draws a fresh one) and datapaths
-    are fetched live at send time. Validity lives in the plan memo (see
-    ``_plan_token``), not here."""
-
-    client_mac: MAC
-    #: (dpid, first, down_match, down_actions, up_match, up_actions, flags)
-    #: in install order (farthest-first, downstream-before-upstream)
-    hops: List[Tuple[int, bool, object, list, object, list, int]]
-    #: dpid -> upstream action list used to release buffered packets
-    release_actions: Dict[int, list]
-
-
-#: memoized install plans kept per controller before a wholesale flush
-PLAN_CACHE_CAPACITY = 4096
-
-#: plan memo key: (client, addressed dst, service identity, cluster, endpoint)
-_PlanKey = Tuple[IPv4, IPv4, ServiceID, EdgeCluster, Endpoint]
+#: memoized service decisions kept per controller before a wholesale flush
+SERVICE_MEMO_CAPACITY = 4096
 
 #: priority bands of redirection and plain L3 route flows
 SERVICE_FLOW_PRIORITY = 20
@@ -255,7 +183,7 @@ class TransparentEdgeController(RyuApp):
         self.predeployer = config.get("predeployer")
         self.memory.on_idle = self._on_memory_idle
         #: learned host locations: ip -> (dpid, port_no, mac)
-        self.hosts: _HostTable = _HostTable()
+        self.hosts: Dict[IPv4, Tuple[int, int, MAC]] = {}
         for addr, attachment in self.cfg.static_hosts.items():
             self.hosts[addr] = (attachment.dpid, attachment.port_no, attachment.mac)
         #: memoized registry lookups: (dst ip, dst port, protocol) ->
@@ -268,15 +196,7 @@ class TransparentEdgeController(RyuApp):
                                               RegistryToken] = RevalidatingCache(
             token_of=self._service_token,
             generation_of=self._registry_generation,
-            capacity=PLAN_CACHE_CAPACITY)
-        #: memoized install plans: (client, addressed dst, service_id,
-        #: cluster, endpoint) -> _InstallPlan, each entry revalidated
-        #: against ``_plan_token``
-        self._plan_memo: RevalidatingCache[_PlanKey, _InstallPlan,
-                                           Tuple[object, ...]] = RevalidatingCache(
-            token_of=self._plan_token,
-            generation_of=self._plan_generation,
-            capacity=PLAN_CACHE_CAPACITY)
+            capacity=SERVICE_MEMO_CAPACITY)
         #: pending dispatches: (client, service_id) -> buffered packet-ins
         self._pending: Dict[Tuple[IPv4, ServiceID], List] = {}
         #: the cookie ledger: cookie -> live redirection. Each record holds
@@ -310,8 +230,6 @@ class TransparentEdgeController(RyuApp):
             "pending_coalesced": 0,
             "dispatch_failures": 0,
             "instances_evicted": 0,
-            "slow_path_plan_hits": 0,
-            "slow_path_plan_misses": 0,
             "packet_ins_buffered_resync": 0,
             "packet_ins_dropped_resync": 0,
             "flows_reconciled": 0,
@@ -447,12 +365,7 @@ class TransparentEdgeController(RyuApp):
         elif frame.ipv4 is not None:
             src_ip = frame.ipv4.src
         if src_ip is not None and not self.registry.is_registered_address(src_ip):
-            location = (dpid, in_port, frame.src)
-            # Write only on change: a stationary host re-learned on every
-            # packet-in must not bump the hosts version (and with it the
-            # memoized install plans).
-            if self.hosts.get(src_ip) != location:
-                self.hosts[src_ip] = location
+            self.hosts[src_ip] = (dpid, in_port, frame.src)
 
     # ------------------------------------------------------------------ ARP
 
@@ -566,40 +479,27 @@ class TransparentEdgeController(RyuApp):
         for datapath, msg in pending:
             self._route_toward(datapath, msg, msg.frame.ipv4.dst)
 
-    def _plan_token(self, key: _PlanKey) -> Tuple[object, ...]:
-        """The plan memo's per-key revalidation token: exactly what a plan
-        depends on — the registry token of the addressed identity, this
-        (client, service) pair's FlowMemory version, this client's
-        host-table version, and the chosen cluster's own generation — so
-        churn on service X or client Y never invalidates anyone else's
-        plan."""
-        client, dst_addr, sid, cluster, _endpoint = key
-        return (self.registry.generation_of(dst_addr, sid.port, sid.protocol),
-                self.memory.version_of(client, sid),
-                self.hosts.version_of(client),
-                cluster.generation)
-
-    def _plan_generation(self, key: _PlanKey) -> Tuple[int, int, int, int]:
-        """The four global counters behind ``_plan_token`` — unchanged iff
-        *nothing* (registry, FlowMemory, host table, the key's cluster)
-        mutated at all, so the token need not be recomputed."""
-        return (self.registry.generation, self.memory.generation,
-                self.hosts.version, key[3].generation)
-
-    def _build_install_plan(self, service: EdgeService, client: IPv4,
-                            dst_addr: IPv4, cluster: EdgeCluster,
-                            endpoint: Endpoint,
-                            parser, ofp) -> Optional[_InstallPlan]:
-        """The pure-CPU half of `_install_and_release`: host/attachment
-        lookups, path computation, and the per-hop matches + action lists.
-        Returns None when the topology info to wire the redirection is
-        missing (the caller degrades to the cloud path)."""
+    def _install_and_release(self, service: EdgeService, pending,
+                             cluster: EdgeCluster, endpoint: Endpoint) -> None:
+        """Wire client ⇄ ``endpoint`` on every switch of the path and release
+        the buffered packet-ins through it, in one pass: each hop's matches
+        and action lists are built right before its FlowMods are sent."""
+        if not pending:
+            return
+        datapath, first_msg = pending[0]
+        packet = first_msg.frame.ipv4
+        client, dst_addr = packet.src, packet.dst
         client_loc = self.hosts.get(client)
         attachment = self.cluster_attachments.get(cluster.name)
         if client_loc is None or attachment is None:
-            return None
+            # Cannot wire the redirection — degrade to the cloud path rather
+            # than silently dropping the buffered packets.
+            self.log("missing-topology-info", client=str(client),
+                     cluster=cluster.name)
+            self.stats["dispatch_failures"] += 1
+            self._release_toward_cloud(pending)
+            return
         client_dpid, client_port, client_mac = client_loc
-        service_id = service.service_id
 
         # The dpid path from the client's ingress switch to the switch in
         # front of the instance (a single element for the fig. 8 testbed).
@@ -608,25 +508,16 @@ class TransparentEdgeController(RyuApp):
             path = fabric.path(client_dpid, attachment.dpid)
         else:
             path = [client_dpid]
+        last = len(path) - 1
 
-        def egress_port(dpid: int, index: int) -> int:
-            """Upstream output port of switch ``path[index]``."""
-            if index + 1 < len(path):
-                return fabric.port_toward(dpid, path[index + 1])
-            return attachment.port_no
-
-        def ingress_port(dpid: int, index: int) -> int:
-            """Downstream output port of switch ``path[index]``."""
-            if index > 0:
-                return fabric.port_toward(dpid, path[index - 1])
-            return client_port
-
+        parser, ofp = datapath.ofproto_parser, datapath.ofproto
+        port = service.service_id.port
         # Match/rewrite on the address the client actually addressed: for a
         # host-registered service that IS service_id.addr; for a
         # subnet-registered service it is some address inside the prefix.
         upstream_match = parser.OFPMatch(
             eth_type=ETH_TYPE_IP, ip_proto=6,
-            ipv4_src=client, ipv4_dst=dst_addr, tcp_dst=service_id.port)
+            ipv4_src=client, ipv4_dst=dst_addr, tcp_dst=port)
         downstream_match = parser.OFPMatch(
             eth_type=ETH_TYPE_IP, ip_proto=6,
             ipv4_src=endpoint.ip, tcp_src=endpoint.port, ipv4_dst=client)
@@ -634,82 +525,8 @@ class TransparentEdgeController(RyuApp):
         # address — transit/egress switches match on that.
         rewritten_match = parser.OFPMatch(
             eth_type=ETH_TYPE_IP, ip_proto=6,
-            ipv4_src=client, ipv4_dst=endpoint.ip, tcp_dst=endpoint.port)
-
-        hops: List[Tuple[int, bool, object, list, object, list, int]] = []
-        release_actions: Dict[int, list] = {}
-        # Install order: farthest-first and downstream-before-upstream (see
-        # _install_and_release for why).
-        for index in range(len(path) - 1, -1, -1):
-            dpid = path[index]
-            first = index == 0
-            last = index == len(path) - 1
-
-            down_actions = []
-            if first:
-                down_actions += [
-                    parser.OFPActionSetField(ipv4_src=dst_addr),
-                    parser.OFPActionSetField(tcp_src=service_id.port),
-                    parser.OFPActionSetField(eth_src=self.cfg.vgw_mac),
-                    parser.OFPActionSetField(eth_dst=client_mac),
-                ]
-            down_actions.append(parser.OFPActionOutput(ingress_port(dpid, index)))
-
-            up_actions = []
-            if first:
-                up_actions += [
-                    parser.OFPActionSetField(ipv4_dst=endpoint.ip),
-                    parser.OFPActionSetField(tcp_dst=endpoint.port),
-                ]
-            if last:
-                up_actions += [
-                    parser.OFPActionSetField(eth_src=self.cfg.vgw_mac),
-                    parser.OFPActionSetField(eth_dst=attachment.mac),
-                ]
-            up_actions.append(parser.OFPActionOutput(egress_port(dpid, index)))
-
-            hops.append((dpid, first,
-                         downstream_match, down_actions,
-                         upstream_match if first else rewritten_match,
-                         up_actions,
-                         ofp.OFPFF_SEND_FLOW_REM if first else 0))
-            release_actions[dpid] = up_actions
-
-        return _InstallPlan(client_mac=client_mac, hops=hops,
-                            release_actions=release_actions)
-
-    def _install_and_release(self, service: EdgeService, pending,
-                             cluster: EdgeCluster, endpoint: Endpoint) -> None:
-        if not pending:
-            return
-        datapath, first_msg = pending[0]
-        client = first_msg.frame.ipv4.src
-        dst_addr = first_msg.frame.ipv4.dst
-        parser, ofp = datapath.ofproto_parser, datapath.ofproto
-
-        # Memoized slow path: identical re-misses (same client, service,
-        # cluster, endpoint) reuse the computed plan — matches and action
-        # lists are immutable/copied-on-send, so reuse is safe. Cookies are
-        # always fresh and datapaths always fetched live, so the observable
-        # message stream is identical to a recomputation.
-        plan_key = (client, dst_addr, service.service_id, cluster, endpoint)
-        found, plan = self._plan_memo.get(plan_key)
-        if found:
-            self.stats["slow_path_plan_hits"] += 1
-        else:
-            self.stats["slow_path_plan_misses"] += 1
-            plan = self._build_install_plan(service, client, dst_addr,
-                                            cluster, endpoint, parser, ofp)
-            if plan is not None:
-                self._plan_memo.store(plan_key, plan)
-        if plan is None:
-            # Cannot wire the redirection — degrade to the cloud path rather
-            # than silently dropping the buffered packets.
-            self.log("missing-topology-info", client=str(client),
-                     cluster=cluster.name)
-            self.stats["dispatch_failures"] += 1
-            self._release_toward_cloud(pending)
-            return
+            ipv4_src=client, ipv4_dst=endpoint.ip,
+            tcp_dst=endpoint.port) if last else None
 
         cookie = self._alloc_cookie(KIND_SERVICE)
         # Load accounting is keyed to the cookie ledger: EVERY record counts
@@ -720,12 +537,17 @@ class TransparentEdgeController(RyuApp):
                                            endpoint)
         self.dispatcher.note_flow_installed(cluster)
 
+        vgw_mac = self.cfg.vgw_mac
+        idle_timeout = self.cfg.switch_idle_timeout_s
+        datapaths = self.manager.datapaths
+        #: dpid -> upstream action list used to release buffered packets
+        release_actions: Dict[int, list] = {}
         # Install farthest-first and downstream-before-upstream: every
         # control channel has the same latency, so by the time the released
         # packet reaches any switch its rules are already there.
-        for (dpid, first, down_match, down_actions,
-             up_match, up_actions, flags) in plan.hops:
-            hop_dp = self.manager.datapaths.get(dpid)
+        for index in range(last, -1, -1):
+            dpid = path[index]
+            hop_dp = datapaths.get(dpid)
             if hop_dp is None:
                 # A switch on the chosen path is gone (e.g. mid-outage):
                 # abandon the redirection, release the packets cloudward.
@@ -735,31 +557,57 @@ class TransparentEdgeController(RyuApp):
                 self._release(cookie)
                 self._release_toward_cloud(pending)
                 return
+            if index:
+                down_actions = [parser.OFPActionOutput(
+                    fabric.port_toward(dpid, path[index - 1]))]
+                up_match, up_actions, flags = rewritten_match, [], 0
+            else:
+                down_actions = [
+                    parser.OFPActionSetField(ipv4_src=dst_addr),
+                    parser.OFPActionSetField(tcp_src=port),
+                    parser.OFPActionSetField(eth_src=vgw_mac),
+                    parser.OFPActionSetField(eth_dst=client_mac),
+                    parser.OFPActionOutput(client_port),
+                ]
+                up_match, flags = upstream_match, ofp.OFPFF_SEND_FLOW_REM
+                up_actions = [
+                    parser.OFPActionSetField(ipv4_dst=endpoint.ip),
+                    parser.OFPActionSetField(tcp_dst=endpoint.port),
+                ]
+            if index == last:
+                up_actions += [
+                    parser.OFPActionSetField(eth_src=vgw_mac),
+                    parser.OFPActionSetField(eth_dst=attachment.mac),
+                    parser.OFPActionOutput(attachment.port_no),
+                ]
+            else:
+                up_actions.append(parser.OFPActionOutput(
+                    fabric.port_toward(dpid, path[index + 1])))
             hop_dp.send_msg(parser.OFPFlowMod(
-                hop_dp, match=down_match, actions=down_actions,
+                hop_dp, match=downstream_match, actions=down_actions,
                 priority=SERVICE_FLOW_PRIORITY,
-                idle_timeout=self.cfg.switch_idle_timeout_s, cookie=cookie))
+                idle_timeout=idle_timeout, cookie=cookie))
             hop_dp.send_msg(parser.OFPFlowMod(
                 hop_dp, match=up_match, actions=up_actions,
                 priority=SERVICE_FLOW_PRIORITY,
-                idle_timeout=self.cfg.switch_idle_timeout_s, cookie=cookie,
-                flags=flags))
+                idle_timeout=idle_timeout, cookie=cookie, flags=flags))
+            release_actions[dpid] = up_actions
 
         # Release every buffered packet through its switch's upstream rules.
         for release_dp, release_msg in pending:
-            actions = plan.release_actions.get(release_dp.id)
+            actions = release_actions.get(release_dp.id)
             if actions is None:
                 continue  # buffered at a switch off the chosen path
             release_dp.send_msg(parser.OFPPacketOut(
                 release_dp, buffer_id=release_msg.buffer_id,
-                in_port=release_msg.in_port, actions=list(actions),
+                in_port=release_msg.in_port, actions=actions,
                 data=release_msg.frame if release_msg.buffer_id == ofp.OFP_NO_BUFFER else None))
         if self.sim.trace.enabled:
             # Guarded: str(client)/str(endpoint) formatting is pure waste
             # when tracing is off, and this runs once per packet-in.
             self.log("flows-installed", client=str(client), service=service.name,
                      endpoint=str(endpoint), cluster=cluster.name,
-                     hops=len(plan.hops))
+                     hops=len(path))
 
     # -------------------------------------------------------------- teardown
 
@@ -878,9 +726,8 @@ class TransparentEdgeController(RyuApp):
         for addr, attachment in self.cfg.static_hosts.items():
             self.hosts[addr] = (attachment.dpid, attachment.port_no,
                                 attachment.mac)
-        # Crash reset: a warm-restarted controller must forget every memo.
+        # Crash reset: a warm-restarted controller must forget its memo.
         self._service_memo.flush()
-        self._plan_memo.flush()
         self._redirects.clear()
         for cluster in self.dispatcher.clusters:
             self.dispatcher.load[cluster.name] = 0

@@ -57,26 +57,13 @@ class FlowMemory:
     """
 
     def __init__(self, sim: "Simulator", idle_timeout_s: float = 60.0,
-                 on_idle: Optional[Callable[[MemorizedFlow, bool], None]] = None):
+                 on_idle: Optional[Callable[[MemorizedFlow, bool], None]] = None) -> None:
         if idle_timeout_s <= 0:
             raise ValueError("idle timeout must be positive")
         self.sim = sim
         self.idle_timeout_s = idle_timeout_s
         self.on_idle = on_idle
         self._flows: Dict[FlowKey, MemorizedFlow] = {}
-        #: bumped on every mutation (remember/forget/clear/expiry) — lookups
-        #: only *touch*; while it is unchanged no :meth:`version_of` token
-        #: can have moved (the plan memo's O(1) hit)
-        self.generation = 0
-        #: per-key stamps — the global generation's value at each flow key's
-        #: last mutation; :meth:`version_of` turns them into a revalidation
-        #: token so idle-expiry of one client's flow no longer invalidates
-        #: every other client's memoized install plan
-        self._versions: Dict[FlowKey, int] = {}
-        #: bumped by :meth:`clear`, which wipes the per-key stamps; folding
-        #: it into the token keeps a cleared key distinguishable from its
-        #: pre-clear self (no ABA through remember → clear)
-        self._clear_count = 0
         #: live flows per instance, so an expiry answers ``still_referenced``
         #: without scanning ``_flows``. Keyed on the endpoint's fields, not
         #: the Endpoint: its dataclass ``__hash__`` runs in Python and would
@@ -115,39 +102,20 @@ class FlowMemory:
         self._flows[key] = flow
         target = (cluster, endpoint.ip.value, endpoint.port)
         self._refs[target] = self._refs.get(target, 0) + 1
-        self.generation += 1
-        self._versions[key] = self.generation
         if previous is None:
             self.sim.schedule(self.idle_timeout_s, self._idle_check, key)
         return flow
 
     def forget(self, client: IPv4, service_id: ServiceID) -> Optional[MemorizedFlow]:
-        key = (client, service_id)
-        flow = self._flows.pop(key, None)
+        flow = self._flows.pop((client, service_id), None)
         if flow is not None:
             self._unref(flow)
-            self.generation += 1
-            self._versions[key] = self.generation
         return flow
 
     def clear(self) -> None:
         """Drop every memorized flow (no on_idle callbacks fire)."""
         self._flows.clear()
         self._refs.clear()
-        self.generation += 1
-        self._clear_count += 1
-        self._versions.clear()
-
-    def version_of(self, client: IPv4, service_id: ServiceID) -> Tuple[int, int]:
-        """Per-key revalidation token for ``(client, service_id)``.
-
-        Unchanged iff this key saw no remember/forget/expiry (and no
-        global clear) since the token was taken — churn on every other
-        client/service leaves it untouched. This is what fixed the
-        idle-expiry invalidation storm: one client's flow expiring used to
-        bump the global generation and cold every memoized install plan.
-        """
-        return (self._clear_count, self._versions.get((client, service_id), 0))
 
     # -------------------------------------------------------------- timeouts
 
@@ -161,8 +129,6 @@ class FlowMemory:
             return
         del self._flows[key]
         still_referenced = self._unref(flow)
-        self.generation += 1
-        self._versions[key] = self.generation
         self.expirations += 1
         if self.on_idle is not None:
             self.on_idle(flow, still_referenced)

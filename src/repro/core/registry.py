@@ -18,7 +18,7 @@ O(address bits) per decision) rather than a flat set:
   prefix, the LPM winner takes precedence.
 
 Churn contract: :attr:`ServiceRegistry.generation` bumps on **every**
-register/deregister.  Memoized consumers (the controller's slow-path caches,
+register/deregister.  Memoized consumers (the controller's service memo,
 ``repro.verify`` incremental snapshots) must revalidate against it — see
 docs/registry.md.  :meth:`ServiceRegistry.generation_of` refines the global
 counter into a *per-key* revalidation token, so a memo entry for one
@@ -92,7 +92,7 @@ class ServiceRegistry:
         #: host registrations live at /32, subnet registrations wider
         self._trie: PrefixTrie[Dict[_PortKey, EdgeService]] = PrefixTrie()
         #: bumped on every register/deregister; memoized lookup results
-        #: (controller slow-path caches) are valid only while it is unchanged
+        #: (the controller's service memo) are valid only while it is unchanged
         self.generation = 0
         #: per-identity stamps — the global generation's value at each exact
         #: ServiceID's last register/deregister; feeds :meth:`generation_of`
@@ -100,9 +100,10 @@ class ServiceRegistry:
         #: generation-gated memo over :meth:`generation_of`: a token is a
         #: pure function of registry state and the global counter moves on
         #: every mutation, so a cached token is valid exactly while the
-        #: generation it was computed under is still current. The controller
-        #: probes the same identity several times per packet-in (service
-        #: memo + install-plan epoch); this keeps that to one trie walk.
+        #: generation it was computed under is still current. A service-memo
+        #: entry that fails revalidation asks for the same identity's token
+        #: twice (the failed check, then the store of the recomputed
+        #: answer); this keeps that to one trie walk.
         #: Keyed on ``(addr.value, port, protocol)``: a hit constructs nothing
         #: but that tuple, and an int/str tuple hashes without a call back
         #: into Python (``IPv4.__hash__``).

@@ -1,19 +1,17 @@
 """Per-key cache revalidation — the OVS-revalidator idea in memo form.
 
 Keying a memo's validity on a *global* generation counter has one failure
-mode: one churn event (a service registered, one client's flow idling out)
-wholesale-flushes answers for a million unrelated keys. A
-:class:`RevalidatingCache` instead keeps each entry alive across global
-churn and revalidates it *individually* against a per-key token when — and
-only when — the global counter has moved. Both control-plane memos (the
-controller's service decision and its install plans) are instances.
+mode: one churn event (a service registered or deregistered) wholesale-flushes
+answers for a million unrelated keys. A :class:`RevalidatingCache` instead
+keeps each entry alive across global churn and revalidates it
+*individually* against a per-key token when — and only when — the global
+counter has moved. The controller's service-decision memo is the one
+instance; its token is ``ServiceRegistry.generation_of``.
 
 The contract with the token provider: ``token_of(key)`` must compare equal
 between two points in time **iff** the memoized computation for ``key``
-would produce the same answer at both points. Cheap per-key tokens exist
-for every memo in this codebase (``ServiceRegistry.generation_of``,
-``FlowMemory.version_of``, ``_HostTable.version_of``,
-``EdgeCluster.generation``); the cache itself stays agnostic.
+would produce the same answer at both points; the cache itself stays
+agnostic.
 
 This module is the one place allowed to wholesale-``clear()`` a
 generation-keyed memo (capacity bound, explicit crash reset) — the REP009
@@ -42,8 +40,8 @@ class RevalidatingCache(Generic[K, V, T]):
 
     * generation unchanged since the entry was last validated → O(1) hit;
       the token is not even recomputed. ``generation_of(key)`` may fold in
-      counters the key selects (the plan memo adds its cluster's), as long
-      as "generation unchanged" still implies "token unchanged";
+      counters the key selects, as long as "generation unchanged" still
+      implies "token unchanged";
     * generation moved → recompute *this key's* token only; if it matches
       the stored one the value is still exact (a **revalidation** — the
       entry is re-stamped and survives), otherwise the entry is dropped

@@ -140,19 +140,10 @@ class EdgeCluster:
         #: diagnostics (per-phase operation counts)
         self.ops: Dict[str, int] = {"pull": 0, "create": 0, "scale_up": 0,
                                     "scale_down": 0, "remove": 0}
-        #: bumped on every lifecycle operation and up/down transition;
-        #: controller-side memoized install plans are valid only while it is
-        #: unchanged (readiness itself is always re-probed live). Because the
-        #: counter is *per cluster*, it doubles as this cluster's component of
-        #: the controller's fine-grained plan epoch: churn on one cluster
-        #: never invalidates plans pinned to another
-        #: (docs/performance.md, "Revalidation").
-        self.generation = 0
 
     def _note_op(self, op: str) -> None:
-        """Count a lifecycle operation and invalidate memoized decisions."""
+        """Count a lifecycle operation."""
         self.ops[op] += 1
-        self.generation += 1
 
     # ---- images ---------------------------------------------------------
 
@@ -205,14 +196,12 @@ class EdgeCluster:
         if self.up:
             self.up = False
             self.outages += 1
-            self.generation += 1
             self.sim.trace.emit(self.sim.now, "cluster", "down", {"name": self.name})
 
     def recover(self) -> None:
         """Bring the cluster back after an outage. Idempotent."""
         if not self.up:
             self.up = True
-            self.generation += 1
             self.sim.trace.emit(self.sim.now, "cluster", "up", {"name": self.name})
 
     def check_available(self) -> None:

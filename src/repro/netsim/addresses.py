@@ -152,7 +152,8 @@ class IPv4:
         return IPv4(self.value + offset)
 
     def __str__(self) -> str:
-        return ".".join(str((self.value >> shift) & 0xFF) for shift in range(24, -8, -8))
+        value = self.value
+        return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
 
     def __repr__(self) -> str:
         return f"IPv4('{self}')"

@@ -52,6 +52,16 @@ class OutputAction(Action):
         return f"Output({self.port:#x})" if self.port > 0xFF else f"Output({self.port})"
 
 
+#: rewritable field -> (type its value is coerced to, slot in a ``_Writes`` row)
+_REWRITE: Dict[str, Tuple[type, int]] = {
+    "eth_src": (MAC, 0), "eth_dst": (MAC, 1),
+    "ipv4_src": (IPv4, 2), "ipv4_dst": (IPv4, 3),
+    "tcp_src": (int, 4), "tcp_dst": (int, 5),
+    "udp_src": (int, 6), "udp_dst": (int, 7),
+}
+assert _REWRITE.keys() == REWRITABLE_FIELDS
+
+
 class SetFieldAction(Action):
     """Rewrite one header field (``eth_src/dst``, ``ipv4_src/dst``,
     ``tcp_src/dst``, ``udp_src/dst``)."""
@@ -59,14 +69,11 @@ class SetFieldAction(Action):
     __slots__ = ("field", "value")
 
     def __init__(self, field: str, value: Any) -> None:
-        if field not in REWRITABLE_FIELDS:
+        if field not in _REWRITE:
             raise ValueError(f"field {field!r} is not rewritable")
-        if field.startswith("ipv4") and not isinstance(value, IPv4):
-            value = IPv4(value)
-        if field.startswith("eth") and not isinstance(value, MAC):
-            value = MAC(value)
-        if field.startswith(("tcp", "udp")):
-            value = int(value)
+        kind = _REWRITE[field][0]
+        if type(value) is not kind:
+            value = kind(value)
         self.field = field
         self.value = value
 
@@ -81,18 +88,10 @@ class SetFieldAction(Action):
         return f"SetField({self.field}={self.value})"
 
 
-#: header writes pending at one output, ``None`` = leave the field as is:
+#: header writes pending at one output, eight slots filled by the field's
+#: index in ``_REWRITE``, ``None`` = leave the field as is:
 #: ``(eth_src, eth_dst, ipv4_src, ipv4_dst, tcp_src, tcp_dst, udp_src, udp_dst)``
-_Writes = Tuple[Optional[MAC], Optional[MAC], Optional[IPv4], Optional[IPv4],
-                Optional[int], Optional[int], Optional[int], Optional[int]]
-
-
-def _writes(pending: Dict[str, Any]) -> Optional[_Writes]:
-    if not pending:
-        return None
-    get = pending.get
-    return (get("eth_src"), get("eth_dst"), get("ipv4_src"), get("ipv4_dst"),
-            get("tcp_src"), get("tcp_dst"), get("udp_src"), get("udp_dst"))
+_Writes = Tuple[Any, ...]
 
 
 @final
@@ -110,17 +109,19 @@ class ActionProgram:
 
     def __init__(self, actions: Sequence[Action]) -> None:
         steps: List[Tuple[Optional[_Writes], int]] = []
-        pending: Dict[str, Any] = {}
+        row: Optional[List[Any]] = None  # None until a set-field since the last output
         for action in actions:
-            if isinstance(action, SetFieldAction):
-                pending[action.field] = action.value
-            elif isinstance(action, OutputAction):
-                steps.append((_writes(pending), action.port))
-                pending = {}
+            if type(action) is SetFieldAction:
+                if row is None:
+                    row = [None] * 8
+                row[_REWRITE[action.field][1]] = action.value
+            elif type(action) is OutputAction:
+                steps.append((None if row is None else tuple(row), action.port))
+                row = None
             else:  # pragma: no cover - future action types
                 raise TypeError(f"unsupported action {action!r}")
         self.steps = tuple(steps)
-        self.trailing = _writes(pending)
+        self.trailing = None if row is None else tuple(row)
 
 
 def _apply_writes(frame: EthernetFrame, writes: _Writes) -> EthernetFrame:

@@ -76,35 +76,43 @@ class ControlChannel:
         self.switch = switch
         self.controller = controller
 
-    def _delay(self, message: Message, busy_attr: str) -> float:
-        start = max(self.sim.now, getattr(self, busy_attr))
-        tx = 0.0
-        if self.bandwidth_bps is not None:
-            tx = message.wire_bytes * 8.0 / self.bandwidth_bps
-        setattr(self, busy_attr, start + tx)
-        return (start + tx - self.sim.now) + self.latency_s
-
-    def _fault_delay(self) -> Optional[float]:
-        """Extra control-message delay from fault injection, or ``None``
-        when the message is injected-lost. 0.0 in fault-free runs."""
-        if self.sim.faults.roll("channel.loss"):
-            self.messages_lost += 1
-            return None
-        return self.sim.faults.stall("channel.delay")
+    def _send(self, message: Message, up: bool) -> None:
+        """Put ``message`` in flight in one direction: the fault plane's
+        loss roll and delay spike (consulted only when it has points, the
+        way ``Link.transmit`` does), then FIFO serialization behind that
+        direction's previous message, then the one-way latency. The float
+        arithmetic is kept in exactly this order — every later timestamp of
+        the run is built from it."""
+        sim = self.sim
+        faults = sim.faults
+        spike = 0.0
+        if faults.points:
+            if faults.roll("channel.loss"):
+                self.messages_lost += 1
+                return  # injected loss: the message vanishes in flight
+            spike = faults.stall("channel.delay")
+        now = sim.now
+        busy = self._busy_until_up if up else self._busy_until_down
+        start = busy if busy > now else now
+        bandwidth = self.bandwidth_bps
+        done = start + (0.0 if bandwidth is None else message.wire_bytes * 8.0 / bandwidth)
+        if up:
+            self.messages_up += 1
+            self._busy_until_up = done
+            deliver = self._deliver_up
+        else:
+            self.messages_down += 1
+            self._busy_until_down = done
+            deliver = self._deliver_down
+        sim.schedule((done - now) + self.latency_s + spike, deliver, message)
 
     def to_controller(self, message: Message) -> None:
         """Deliver ``message`` from the switch to the controller."""
         if not self.connected:
             self.drops_up += 1
             return
-        if self.controller is None:
-            return
-        spike = self._fault_delay()
-        if spike is None:
-            return  # injected loss: the message vanishes in flight
-        self.messages_up += 1
-        delay = self._delay(message, "_busy_until_up") + spike
-        self.sim.schedule(delay, self._deliver_up, message)
+        if self.controller is not None:
+            self._send(message, True)
 
     def _deliver_up(self, message: Message) -> None:
         if not self.connected:
@@ -118,14 +126,8 @@ class ControlChannel:
         if not self.connected:
             self.drops_down += 1
             return
-        if self.switch is None:
-            return
-        spike = self._fault_delay()
-        if spike is None:
-            return  # injected loss
-        self.messages_down += 1
-        delay = self._delay(message, "_busy_until_down") + spike
-        self.sim.schedule(delay, self._deliver_down, message)
+        if self.switch is not None:
+            self._send(message, False)
 
     def _deliver_down(self, message: Message) -> None:
         if not self.connected:

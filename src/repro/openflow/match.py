@@ -58,13 +58,12 @@ def extract_fields(frame: EthernetFrame, in_port: int) -> FieldDict:
     return fields
 
 
-def _canonical(value: Any) -> Any:
-    """Normalise match values so '10.0.0.1' == IPv4('10.0.0.1') etc."""
-    if isinstance(value, str):
-        if value.count(".") == 3:
-            return IPv4(value)
-        if ":" in value:
-            return MAC(value)
+def _canonical(value: str) -> Any:
+    """Normalise a str match value so '10.0.0.1' == IPv4('10.0.0.1') etc."""
+    if value.count(".") == 3:
+        return IPv4(value)
+    if ":" in value:
+        return MAC(value)
     return value
 
 
@@ -85,19 +84,23 @@ class Match:
         for field, value in conditions.items():
             if field not in FIELDS:
                 raise ValueError(f"unknown match field {field!r}")
-            if isinstance(value, tuple):
+            kind = type(value)
+            if kind is tuple:
                 if field not in ("ipv4_src", "ipv4_dst", "arp_spa", "arp_tpa"):
                     raise ValueError(f"masked match unsupported for {field!r}")
                 network, prefix_len = value
-                masked[field] = (IPv4(network) if not isinstance(network, IPv4) else network,
-                                 int(prefix_len))
-            else:
+                masked[field] = (IPv4(network), int(prefix_len))
+            elif kind is str:
                 exact[field] = _canonical(value)
+            else:
+                exact[field] = value
         self._exact = exact
         self._masked = masked
-        self._hash = hash((tuple(sorted(exact.items(), key=lambda kv: kv[0])),
-                           tuple(sorted(((k, v[0], v[1]) for k, v in masked.items()),
-                                        key=lambda kv: kv[0]))))
+        # Field names are unique, so sorting the (name, ...) tuples orders by
+        # name alone, exactly as a key function on the name would.
+        self._hash = hash((tuple(sorted(exact.items())),
+                           tuple(sorted([(k, net, plen) for k, (net, plen) in masked.items()]))
+                           if masked else ()))
 
     # ------------------------------------------------------------ predicates
 

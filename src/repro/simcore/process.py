@@ -95,7 +95,8 @@ class Process:
         self._exception: Optional[BaseException] = None
         self._joiners: list[Callable[["Process"], None]] = []
         self._waiting_on: Optional[Any] = None
-        sim.trace.emit(sim.now, "process", "spawn", {"name": self.name})
+        if sim.trace.enabled:
+            sim.trace.emit(sim.now, "process", "spawn", {"name": self.name})
         # Kick off on the loop, not synchronously, so spawn order == first
         # execution order regardless of where spawn() was called from.
         sim.call_soon(self._step_send, None)
@@ -174,12 +175,10 @@ class Process:
         self._exception = exception
         self._waiting_on = None
         self._gen.close()
-        self.sim.trace.emit(
-            self.sim.now,
-            "process",
-            "finish",
-            {"name": self.name, "ok": exception is None},
-        )
+        trace = self.sim.trace
+        if trace.enabled:
+            trace.emit(self.sim.now, "process", "finish",
+                       {"name": self.name, "ok": exception is None})
         joiners, self._joiners = self._joiners, []
         for cb in joiners:
             self.sim.call_soon(cb, self)

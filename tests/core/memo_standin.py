@@ -1,5 +1,5 @@
-"""Test oracle for the controller's memos: never answer, so every decision
-is recomputed by the code that runs on a real miss."""
+"""Test oracle for the controller's service memo: never answer, so every
+decision is recomputed by the code that runs on a real miss."""
 
 
 class AlwaysMiss:
@@ -12,7 +12,12 @@ class AlwaysMiss:
     def flush(self):
         pass
 
+    def stats(self):
+        return {"entries": 0, "hits": 0, "misses": 0, "revalidations": 0,
+                "invalidations": 0, "flushes": 0}
+
 
 def disable_memos(controller):
-    """Swap both ``RevalidatingCache`` instances for the always-miss oracle."""
-    controller._service_memo = controller._plan_memo = AlwaysMiss()
+    """Swap the service memo's ``RevalidatingCache`` for the always-miss
+    oracle."""
+    controller._service_memo = AlwaysMiss()

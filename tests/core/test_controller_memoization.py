@@ -1,19 +1,18 @@
 """Slow-path memoization must be invisible to packet disposition.
 
-The controller memoizes its packet-in slow path — the registry decision and
-the computed install plan — in two :class:`RevalidatingCache` instances.
-These tests run the *same randomized scenario twice*: normally, and with
-both memos swapped for an always-miss oracle (``tests/core/memo_standin``),
-so every decision is recomputed by the code that actually runs on a miss.
-The two runs must be indistinguishable from the outside: identical trace
-streams (every flow install, packet-out and app log in the same order at
-the same simulated times), identical installed flows, identical client
-timings. Only the memo-internal counters (``plan_hits``/``plan_misses``)
-may differ.
+The controller memoizes the registry decision of its packet-in slow path
+in a :class:`RevalidatingCache`. These tests run the *same randomized
+scenario twice*: normally, and with the memo swapped for an always-miss
+oracle (``tests/core/memo_standin``), so every decision is recomputed by
+the code that actually runs on a miss. The two runs must be
+indistinguishable from the outside: identical trace streams (every flow
+install, packet-out and app log in the same order at the same simulated
+times), identical installed flows, identical stats, identical client
+timings.
 
 The scenario interleaves *unrelated* churn — a cloud-prefix service
 registering/deregistering, a foreign client's FlowMemory entry being
-overwritten — so the memos answer from the revalidate tier (generation
+overwritten — so the memo answers from the revalidate tier (generation
 moved, this key's token did not), not only from O(1) hits.
 """
 
@@ -32,9 +31,6 @@ from repro.workloads.cloudprefix import (
 )
 
 from tests.core.memo_standin import disable_memos
-
-#: stats keys that exist only to observe the memo itself
-MEMO_ONLY_STATS = ("slow_path_plan_hits", "slow_path_plan_misses")
 
 #: churn identities: a synthetic cloud-supernet service and an RFC 2544
 #: address that is never a host — provably unrelated to the hot flows
@@ -94,16 +90,15 @@ def _run_scenario(memoize: bool, seed: int):
 
     timings = [p.result for p in results]
     assert all(timing.ok for timing in timings), timings
-    stats = dict(tb.controller.stats)
-    memo_stats = {k: stats.pop(k, 0) for k in MEMO_ONLY_STATS}
-    memo_stats["revalidations"] = PERF.memo_revalidations - revalidations
+    memo_stats = {"hits": tb.controller.service_memo_stats()["hits"],
+                  "revalidations": PERF.memo_revalidations - revalidations}
     return {
         "trace": [str(record) for record in trace.records],
         "mid_flows": mid_flows,
         "final_flows": _flow_snapshot(tb),
         "timings": [(round(x.t_start, 9), round(x.time_connect, 9),
                      round(x.time_total, 9), x.status) for x in timings],
-        "stats": stats,
+        "stats": dict(tb.controller.stats),
         "memo_stats": memo_stats,
         "packet_ins": tb.switch.packet_ins,
         "tx_frames": tb.switch.tx_frames,
@@ -126,11 +121,11 @@ class TestMemoizationInvisibility:
 
     def test_memo_actually_engages(self):
         """The differential isn't vacuous: the memoized run answers from
-        the cache — through the revalidate tier, since churn precedes
-        every fetch — and the oracle run never does."""
+        the service memo — through the revalidate tier, since churn
+        precedes every fetch — and the oracle run never does."""
         on = _run_scenario(memoize=True, seed=11)
         off = _run_scenario(memoize=False, seed=11)
-        assert on["memo_stats"]["slow_path_plan_hits"] > 0
+        assert on["memo_stats"]["hits"] > 0
         assert on["memo_stats"]["revalidations"] > 0
-        assert off["memo_stats"]["slow_path_plan_hits"] == 0
+        assert off["memo_stats"]["hits"] == 0
         assert off["memo_stats"]["revalidations"] == 0

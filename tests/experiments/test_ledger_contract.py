@@ -34,6 +34,4 @@ def test_counters_the_ledger_reads_exist():
                  "memo_revalidations", "memo_invalidations"):
         assert isinstance(getattr(PERF, name), (int, float)), name
     tb = build_testbed(seed=1, n_clients=1, cluster_types=("docker",))
-    for key in ("slow_path_plan_hits", "slow_path_plan_misses",
-                "service_dispatches"):
-        assert tb.controller.stats[key] == 0, key
+    assert tb.controller.stats["service_dispatches"] == 0

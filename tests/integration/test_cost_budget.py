@@ -222,7 +222,8 @@ class TestRegistryDecision:
 def _slow_path_testbed():
     """A warm testbed whose one client already fetched the service, plus a
     reusable packet-in for a fresh SYN of that client: every handled copy
-    re-walks the memoized slow path without a dispatcher run."""
+    is a FlowMemory re-miss — no dispatcher run, the redirection rebuilt
+    and reinstalled."""
     tb = build_testbed(seed=51, n_clients=1, cluster_types=("docker",),
                        memory_idle_timeout_s=3600.0)
     svc = tb.register_catalog_service("nginx")
@@ -244,32 +245,37 @@ def _slow_path_testbed():
                    fields=extract_fields(frame, 1))
     msg.datapath = tb.manager.datapaths[tb.switch.dpid]
     event = EventOFPPacketIn(msg)
-    tb.controller.on_packet_in(event)  # first copy revalidates the plan
+    tb.controller.on_packet_in(event)
     tb.run(until=tb.sim.now + 5.0)
     return tb, event
 
 
 class TestControllerSlowPath:
     def test_memoized_packet_in_costs_a_constant(self):
-        """Claim: a packet-in the plan memo answers costs the same whether
-        1, 10 or 100 of its predecessors' FlowMods are still queued."""
+        """Claim: a packet-in FlowMemory answers costs the same whether 1,
+        10 or 100 of its predecessors' FlowMods are still queued."""
         tb, event = _slow_path_testbed()
         stats = tb.controller.stats
-        misses = stats["slow_path_plan_misses"]
+        dispatches = stats["service_dispatches"]
+        remembered = stats["service_hits_memory"]
         counts = []
         for burst in (1, 10, 100):
             counts.extend(calls(tb.controller.on_packet_in, event)
                           for _ in range(burst))
             tb.run(until=tb.sim.now + 5.0)
-        assert stats["slow_path_plan_misses"] == misses
-        assert _one(counts) <= 160
+        assert stats["service_dispatches"] == dispatches
+        assert stats["service_hits_memory"] - remembered == 111
+        assert _one(counts) <= 180
 
-    def test_plan_memo_stays_warm_under_unrelated_churn(self):
+    def test_re_miss_cost_is_unmoved_by_unrelated_churn(self):
         """Claim: with an unrelated service registering or deregistering
         and a foreign client's FlowMemory entry rewritten before every
-        packet-in, every packet-in is still a plan hit at a constant cost."""
+        packet-in, a re-miss costs one constant, a service-memo
+        revalidation above its cost with no churn: the redirection is built
+        afresh every time, so there is no plan tier for churn to move."""
         tb, event = _slow_path_testbed()
         ctrl = tb.controller
+        quiet = calls(ctrl.on_packet_in, event)
         # Churn identities live in the synthetic cloud supernets, disjoint
         # from the testbed's TEST-NET-2 services and client range.
         churn_sid = synth_service_ids(
@@ -277,8 +283,7 @@ class TestControllerSlowPath:
         foreign = IPv4("198.18.0.1")  # RFC 2544 range: not a host
         flow = next(iter(ctrl.memory._flows.values()))
         hot_sid = flow.key[1]
-        hits = ctrl.stats["slow_path_plan_hits"]
-        misses = ctrl.stats["slow_path_plan_misses"]
+        dispatches = ctrl.stats["service_dispatches"]
         counts = []
         for index in range(200):
             if index % 2:
@@ -289,9 +294,14 @@ class TestControllerSlowPath:
             counts.append(calls(ctrl.on_packet_in, event))
             if index % 50 == 49:
                 tb.run(until=tb.sim.now + 5.0)
-        assert ctrl.stats["slow_path_plan_hits"] - hits == 200
-        assert ctrl.stats["slow_path_plan_misses"] == misses
-        assert _one(counts) <= 200
+        assert ctrl.stats["service_dispatches"] == dispatches
+        # The one memo tier left is the service memo's: churn makes every
+        # packet-in revalidate its registry decision (one token recompute),
+        # the same few calls each time; building and installing the
+        # redirection costs exactly what it costs without churn.
+        churned = _one(counts)
+        assert 0 < churned - quiet <= 12
+        assert churned <= 180
 
 
 # --------------------------------------------------------- header rewrite

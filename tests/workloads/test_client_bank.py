@@ -174,6 +174,26 @@ class TestBankMechanics:
         assert max(seen_active) <= 8
         assert len(bank._active) == 0  # all conversations drained
 
+    def test_controller_keeps_nothing_per_finished_client(self):
+        """Once one-shot clients finish and every idle timeout has fired,
+        FlowMemory, the cookie ledger, pending dispatches and dispatch
+        processes are empty at every client count; the learned-host table
+        is the one per-client state left (it never ages)."""
+        other_hosts = []
+        for n_clients in (40, 160):
+            tb, svc = _warm_testbed()
+            ctrl = tb.controller
+            bank = attach_client_bank(tb, svc, n_clients=n_clients, window=16)
+            assert run_client_bank(tb, bank).ok_count == n_clients
+            tb.run(until=tb.sim.now + 10.0)  # past the 0.5 s / 2 s idle timeouts
+            assert len(ctrl.memory) == 0
+            assert ctrl._redirects == {}
+            assert ctrl._pending == {}
+            assert ctrl._dispatch_procs == {}
+            assert {bank.client_ip(i) for i in range(n_clients)} <= ctrl.hosts.keys()
+            other_hosts.append(len(ctrl.hosts) - n_clients)
+        assert other_hosts[0] == other_hosts[1]
+
     def test_streaming_result_has_no_timing_list(self):
         tb, svc = _warm_testbed()
         bank = attach_client_bank(tb, svc, n_clients=50, window=8)
