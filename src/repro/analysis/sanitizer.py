@@ -244,9 +244,9 @@ class Sanitizer:
                     f"FlowMemory integrity after {mutation}: flow {key!r} "
                     f"last_used {flow.last_used!r} is in the future "
                     f"(now={now!r})")
-        recount: Dict[Tuple[Any, int, int], int] = {}
+        recount: Dict[Tuple[Any, Any, int], int] = {}
         for flow in memory._flows.values():
-            target = (flow.cluster, flow.endpoint.ip.value, flow.endpoint.port)
+            target = (flow.cluster, flow.endpoint.ip, flow.endpoint.port)
             recount[target] = recount.get(target, 0) + 1
         if memory._refs != recount:
             raise SanitizerError(

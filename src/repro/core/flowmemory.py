@@ -66,9 +66,8 @@ class FlowMemory:
         self._flows: Dict[FlowKey, MemorizedFlow] = {}
         #: live flows per instance, so an expiry answers ``still_referenced``
         #: without scanning ``_flows``. Keyed on the endpoint's fields, not
-        #: the Endpoint: its dataclass ``__hash__`` runs in Python and would
-        #: cost more than the scan does when every flow shares one instance.
-        self._refs: Dict[Tuple["EdgeCluster", int, int], int] = {}
+        #: the Endpoint: its dataclass ``__hash__`` runs in Python.
+        self._refs: Dict[Tuple["EdgeCluster", IPv4, int], int] = {}
         #: diagnostics
         self.hits = 0
         self.misses = 0
@@ -100,7 +99,7 @@ class FlowMemory:
         if previous is not None:
             self._unref(previous)
         self._flows[key] = flow
-        target = (cluster, endpoint.ip.value, endpoint.port)
+        target = (cluster, endpoint.ip, endpoint.port)
         self._refs[target] = self._refs.get(target, 0) + 1
         if previous is None:
             self.sim.schedule(self.idle_timeout_s, self._idle_check, key)
@@ -136,7 +135,7 @@ class FlowMemory:
     def _unref(self, flow: MemorizedFlow) -> bool:
         """Count a removed flow out; True while other live flows still point
         at its (cluster, endpoint)."""
-        target = (flow.cluster, flow.endpoint.ip.value, flow.endpoint.port)
+        target = (flow.cluster, flow.endpoint.ip, flow.endpoint.port)
         left = self._refs[target] - 1
         if left:
             self._refs[target] = left

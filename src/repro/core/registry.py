@@ -104,11 +104,9 @@ class ServiceRegistry:
         #: entry that fails revalidation asks for the same identity's token
         #: twice (the failed check, then the store of the recomputed
         #: answer); this keeps that to one trie walk.
-        #: Keyed on ``(addr.value, port, protocol)``: a hit constructs nothing
-        #: but that tuple, and an int/str tuple hashes without a call back
-        #: into Python (``IPv4.__hash__``).
-        self._token_cache: Dict[Tuple[int, int, str],
-                                Tuple[int, RegistryToken]] = {}
+        #: Keyed on the same identity tuple as ``_id_stamps``, so a miss
+        #: builds one key for both.
+        self._token_cache: Dict[_IdentityTuple, Tuple[int, RegistryToken]] = {}
 
     def register(
         self,
@@ -218,11 +216,11 @@ class ServiceRegistry:
         identity with no registration and no covering prefixes yields
         ``(0, ())``, the token a negative cache entry revalidates against.
         """
-        key = (addr.value, port, protocol)
+        key = (addr, port, protocol)
         cached = self._token_cache.get(key)
         if cached is not None and cached[0] == self.generation:
             return cached[1]
-        token: RegistryToken = (self._id_stamps.get((addr, port, protocol), 0),
+        token: RegistryToken = (self._id_stamps.get(key, 0),
                                 self._trie.covering_fingerprint(addr.value))
         if len(self._token_cache) >= _TOKEN_CACHE_CAPACITY:
             # Capacity bound, not a generation shortcut: entries revalidate

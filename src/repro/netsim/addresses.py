@@ -1,15 +1,25 @@
 """MAC and IPv4 address value types.
 
-Both are thin, hashable, int-backed value objects. Being int-backed keeps
-them cheap as dict keys on the hot path (flow-table lookups hash millions of
-addresses per benchmark run) while still printing like real addresses.
+Both are thin, int-backed value objects that print like real addresses.
 
 Instances are **interned**: constructing the same address twice returns the
 same object, so a scenario with 100k clients holds one object per distinct
-address no matter how many frames reference it, equality degenerates to an
-identity check, and the hash is a precomputed int. Pickle round-trips
-re-intern (``__reduce__``), so addresses crossing pool-worker boundaries
-keep the identity ↔ equality invariant.
+address no matter how many frames reference it. Interning is what lets the
+classes define no ``__eq__`` and no ``__hash__`` of their own: equality is
+``object``'s identity check and the hash is the C-level identity hash, so a
+dict, set or tuple operation on an address (flow-table buckets, microflow
+keys, host tables, the registry) never calls back into Python. An address
+still equals no int and no address of the other class (``IPv4(5) != 5``,
+``MAC(5) != IPv4(5)``), orders by value (``__lt__``) and is truthy even at
+``0.0.0.0``. Every way to copy one keeps the invariant: ``copy``,
+``deepcopy`` and pickle go through ``__reduce__``, which re-interns, so
+addresses crossing pool-worker or domain boundaries are the same objects.
+
+The identity hash depends on where the object was allocated, so it differs
+from run to run: an address must never be iterated out of a hash-ordered
+container (a ``set`` or ``frozenset``), or event order would follow memory
+layout. Iterate dicts (insertion-ordered) or ``sorted(...)`` instead; the
+REP003 rule of ``python -m repro.analysis`` flags the pattern.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from typing import Dict, Tuple, Union
 class MAC:
     """48-bit Ethernet address (interned)."""
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value",)
 
     _interned: Dict[int, "MAC"] = {}
 
@@ -49,25 +59,16 @@ class MAC:
         if self is None:
             self = super().__new__(cls)
             self.value = parsed
-            # Hash of the raw int: stable across PYTHONHASHSEED (unlike the
-            # previous str-tagged tuple hash) and allocation-free to compare.
-            self._hash = hash(parsed)
             cls._interned[parsed] = self
         return self
 
     def __reduce__(self) -> Tuple[type, Tuple[int]]:
         return (MAC, (self.value,))
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, MAC) and self.value == other.value)
-
     def __lt__(self, other: "MAC") -> bool:
         if not isinstance(other, MAC):
             return NotImplemented
         return self.value < other.value
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __int__(self) -> int:
         return self.value
@@ -91,7 +92,7 @@ class MAC:
 class IPv4:
     """32-bit IPv4 address (interned)."""
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value",)
 
     _interned: Dict[int, "IPv4"] = {}
 
@@ -118,23 +119,16 @@ class IPv4:
         if self is None:
             self = super().__new__(cls)
             self.value = parsed
-            self._hash = hash(parsed)
             cls._interned[parsed] = self
         return self
 
     def __reduce__(self) -> Tuple[type, Tuple[int]]:
         return (IPv4, (self.value,))
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, IPv4) and self.value == other.value)
-
     def __lt__(self, other: "IPv4") -> bool:
         if not isinstance(other, IPv4):
             return NotImplemented
         return self.value < other.value
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __int__(self) -> int:
         return self.value

@@ -235,25 +235,28 @@ class AppManager:
             self.sim.schedule(self.service_time_s, self._pump)
 
     def _pump(self) -> None:
-        if not self.alive:
+        if not self.alive or not self._queue:
             self._pump_running = False
             return
-        if not self._queue:
-            self._pump_running = False
-            return
-        if self.sim.faults.roll("controller.crash"):
+        faults = self.sim.faults
+        if faults.points and faults.roll("controller.crash"):
             # The process dies mid-event-loop; the injected downtime comes
             # from the controller.restart point (defaulting to 1 s).
             self.crash()
-            delay = self.sim.faults.stall("controller.restart") or DEFAULT_RESTART_DELAY_S
+            delay = faults.stall("controller.restart") or DEFAULT_RESTART_DELAY_S
             self.sim.schedule(delay, self.restart)
             return
         event = self._queue.popleft()
-        self._dispatch(event)
-        if self._queue:
-            self.sim.schedule(self.service_time_s, self._pump)
-        else:
-            self._pump_running = False
+        try:
+            self._dispatch(event)
+        finally:
+            # Also on a handler exception, which still propagates (the
+            # simulator fails loud): a caller that catches it finds the pump
+            # re-armed for the queued events, not wedged on _pump_running.
+            if self._queue:
+                self.sim.schedule(self.service_time_s, self._pump)
+            else:
+                self._pump_running = False
 
     def _dispatch(self, event: EventBase) -> None:
         self.events_dispatched += 1

@@ -83,6 +83,31 @@ def tables():
     return out
 
 
+class _CountingAddress:
+    """An ``ipv4_dst`` stand-in that answers equality as ``target`` would and
+    counts every comparison in a Python frame.
+
+    Interned addresses compare by identity in C, so a scan over real ones
+    makes no per-rule call a profile can see. Put in the probe, the stand-in
+    receives each rule's reflected ``fast_dst != pkt_dst`` prefilter, which
+    makes the scan's per-rule work countable again.
+    """
+
+    __slots__ = ("target", "compares")
+
+    def __init__(self, target: IPv4) -> None:
+        self.target = target
+        self.compares = 0
+
+    def __eq__(self, other: object) -> bool:
+        self.compares += 1
+        return other is self.target
+
+    def __ne__(self, other: object) -> bool:
+        self.compares += 1
+        return other is not self.target
+
+
 class TestFlowTable:
     def test_indexed_lookup_is_flat_where_the_scan_grows(self, tables):
         """Claim: a lookup costs the same at 100 and 10 000 rules, while the
@@ -90,9 +115,15 @@ class TestFlowTable:
         indexed, linear = {}, {}
         for size, table in tables.items():
             probe = _session_fields(size - 1)  # the scan's last rule
-            assert table.lookup(probe) is table.lookup_linear(probe) is not None
+            entry = table.lookup(probe)
+            assert entry is table.lookup_linear(probe) is not None
             indexed[size] = calls(table.lookup, probe)
-            linear[size] = calls(table.lookup_linear, probe)
+            counting = _CountingAddress(probe["ipv4_dst"])
+            scan_probe = {**probe, "ipv4_dst": counting}
+            assert table.lookup_linear(scan_probe) is entry
+            counting.compares = 0
+            linear[size] = calls(table.lookup_linear, scan_probe)
+            assert counting.compares >= size  # every rule's dst prefilter
         assert _one(indexed.values()) <= 32
         for small, large in pairwise(TABLE_SIZES):
             assert linear[large] - linear[small] >= large - small

@@ -1,8 +1,24 @@
 """Unit tests for MAC/IPv4 address types."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.netsim import BROADCAST_MAC, MAC, IPv4, ip, mac
+from repro.netsim import (
+    BROADCAST_MAC,
+    ETH_TYPE_IP,
+    MAC,
+    EthernetFrame,
+    IPv4,
+    IPv4Packet,
+    TCPSegment,
+    ip,
+    mac,
+)
+from repro.netsim.packet import IP_PROTO_TCP
+from repro.simcore.domains.envelope import Envelope, decode_envelopes, encode_envelopes
 
 
 class TestMAC:
@@ -103,3 +119,98 @@ def test_convenience_constructors_idempotent():
     assert mac(m) is m
     a = ip("10.0.0.1")
     assert ip(a) is a
+
+
+# ------------------------------------------------------ identity contract
+#
+# Interned addresses define no __eq__ or __hash__: equality is identity and
+# the hash is object's. That is only sound while no path can hand out a
+# second object for the same address, so every copy path is pinned here.
+
+
+def _frame(src_mac, dst_mac, src_ip, dst_ip):
+    packet = IPv4Packet(src=src_ip, dst=dst_ip, proto=IP_PROTO_TCP,
+                        payload=TCPSegment(src_port=40000, dst_port=80))
+    return EthernetFrame(src=src_mac, dst=dst_mac, ethertype=ETH_TYPE_IP,
+                         payload=packet)
+
+
+ADDRESSES = [MAC("02:00:00:00:00:2a"), BROADCAST_MAC,
+             IPv4("10.0.0.42"), IPv4(0)]
+
+
+@pytest.mark.parametrize("addr", ADDRESSES, ids=repr)
+@pytest.mark.parametrize("clone", [
+    copy.copy,
+    copy.deepcopy,
+    lambda a: pickle.loads(pickle.dumps(a)),
+    lambda a: pickle.loads(pickle.dumps(a, protocol=0)),
+    lambda a: pickle.loads(pickle.dumps(a, protocol=pickle.HIGHEST_PROTOCOL)),
+], ids=["copy", "deepcopy", "pickle", "pickle-0", "pickle-highest"])
+def test_every_copy_is_the_interned_object(addr, clone):
+    assert clone(addr) is addr
+
+
+def test_frame_copies_keep_address_identity():
+    src_mac, dst_mac = MAC(1), MAC(2)
+    src_ip, dst_ip = IPv4("10.0.0.1"), IPv4("203.0.113.5")
+    frame = _frame(src_mac, dst_mac, src_ip, dst_ip)
+    for other in (copy.copy(frame), copy.deepcopy(frame),
+                  pickle.loads(pickle.dumps(frame)),
+                  dataclasses.replace(frame, frame_id=7)):
+        assert other.src is src_mac and other.dst is dst_mac
+        assert other.payload.src is src_ip and other.payload.dst is dst_ip
+        assert other == frame
+    rewritten = dataclasses.replace(frame, dst=MAC(2))
+    assert rewritten.dst is dst_mac and rewritten == frame
+
+
+def test_envelope_codec_keeps_address_identity():
+    frames = [_frame(MAC(index + 1), MAC(0xFE), IPv4(f"10.0.0.{index + 1}"),
+                     IPv4("198.51.100.9")) for index in range(3)]
+    envelopes = [Envelope(src_domain=0, dst_domain=1, seq=index, sent_at=0.5,
+                          arrival_at=0.75, frame=frame)
+                 for index, frame in enumerate(frames)]
+    decoded = decode_envelopes(encode_envelopes(envelopes))
+    assert decoded == envelopes
+    for before, after in zip(frames, (e.frame for e in decoded), strict=True):
+        assert after.src is before.src and after.dst is before.dst
+        assert after.payload.src is before.payload.src
+        assert after.payload.dst is before.payload.dst
+
+
+@pytest.mark.parametrize("cls", [MAC, IPv4])
+def test_equality_and_hash_are_objects(cls):
+    """A returning Python __eq__/__hash__ would cost a call per dict probe."""
+    assert cls.__hash__ is object.__hash__
+    assert cls.__eq__ is object.__eq__
+    assert "_hash" not in cls.__slots__
+    addr = cls(7)
+    assert type(addr).__hash__ is object.__hash__
+    assert hash(addr) == object.__hash__(addr)
+
+
+@pytest.mark.parametrize("cls", [MAC, IPv4])
+@pytest.mark.parametrize("value", [0, 5, 0xC0A80101])
+def test_never_equal_to_an_int(cls, value):
+    assert cls(value) != value and value != cls(value)
+    assert not cls(value) == value
+    assert cls(value) in {cls(value)} and value not in {cls(value)}
+
+
+def test_classes_never_equal_each_other():
+    assert MAC(5) != IPv4(5) and IPv4(5) != MAC(5)
+    assert len({MAC(5), IPv4(5)}) == 2
+
+
+def test_the_zero_addresses_are_truthy():
+    assert bool(IPv4(0)) and bool(MAC(0))
+    assert IPv4("0.0.0.0") is IPv4(0)
+
+
+def test_ordering_is_by_value():
+    assert sorted([IPv4(3), IPv4(1), IPv4(2)]) == [IPv4(1), IPv4(2), IPv4(3)]
+    assert IPv4(1) <= IPv4(1) < IPv4(2) and IPv4(2) >= IPv4(2) > IPv4(1)
+    assert MAC(1) <= MAC(1) < MAC(2)
+    with pytest.raises(TypeError):
+        IPv4(1) < MAC(2)  # noqa: B015

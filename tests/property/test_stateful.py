@@ -154,7 +154,7 @@ class FlowMemoryMachine(RuleBasedStateMachine):
     def reference_counts_are_a_recount(self):
         recount = {}
         for flow in self.memory._flows.values():
-            target = (flow.cluster, flow.endpoint.ip.value, flow.endpoint.port)
+            target = (flow.cluster, flow.endpoint.ip, flow.endpoint.port)
             recount[target] = recount.get(target, 0) + 1
         assert self.memory._refs == recount
 

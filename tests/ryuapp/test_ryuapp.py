@@ -171,3 +171,40 @@ def test_multiple_apps_both_receive_events(rig):
     net.run()
     assert len(app.packet_ins) == 1
     assert len(second.packet_ins) == 1
+
+
+class FlakyApp(RyuApp):
+    """Its first packet-in handler raises; every later one records."""
+
+    def __init__(self, manager, **config):
+        super().__init__(manager, **config)
+        self.raised = False
+        self.tcp_dsts = []
+
+    @set_ev_cls(EventOFPPacketIn, MAIN_DISPATCHER)
+    def on_packet_in(self, ev):
+        if not self.raised:
+            self.raised = True
+            raise RuntimeError("handler bug")
+        self.tcp_dsts.append(ev.msg.fields["tcp_dst"])
+
+
+def test_handler_exception_fails_loud_without_wedging_the_pump():
+    net = Network(seed=0)
+    sw = OpenFlowSwitch(net.sim, "sw", dpid=7)
+    sw.install_table_miss()
+    net.add_device(sw)
+    mgr = AppManager(net.sim, service_time_s=0.0005)
+    app = mgr.register(FlakyApp)
+    mgr.connect_switch(sw, ControlChannel(net.sim, latency_s=0.001))
+    net.run()
+    for dport in (80, 81, 82):
+        sw.deliver(1, tcp_frame(dport=dport))
+    with pytest.raises(RuntimeError, match="handler bug"):
+        net.run()
+    assert len(mgr._queue) == 2  # queued behind the failed event
+    net.run()
+    assert app.tcp_dsts == [81, 82]
+    sw.deliver(1, tcp_frame(dport=90))
+    net.run()
+    assert app.tcp_dsts == [81, 82, 90]
