@@ -59,6 +59,14 @@ class EdgeAdmin:
         return out
 
     def service_status(self, service_id: ServiceID) -> Optional[dict]:
+        """A registered service's deployment history and live instances.
+
+        ``"deployments"`` lists the successful runs that did work — a cold
+        start or a scale-up, retried or not (failed runs are in
+        ``DeploymentEngine.records_for(include_failed=True)``). A warm reuse
+        is not a deployment and leaves no row; the engine only counts it in
+        ``warm_reuses``. ``None`` when ``service_id`` is not registered.
+        """
         service = self.controller.registry.lookup(
             service_id.addr, service_id.port, service_id.protocol)
         if service is None:

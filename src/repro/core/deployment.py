@@ -9,8 +9,11 @@ Phases for bringing a service instance up on a cluster:
    by the controller's port-probe wait until the service actually answers.
 
 And for retiring one: **Scale Down**, **Remove**, and (rarely) **Delete**
-(images). Every run is recorded as a :class:`DeploymentRecord`, which is the
-raw data behind figs. 11–15.
+(images). Every run that did work, retried or failed is recorded as a
+:class:`DeploymentRecord`, the raw data behind figs. 11–15. A warm reuse —
+the instance was ready, which is every dispatch after the first — only
+counts in :attr:`DeploymentEngine.warm_reuses`, so the engine keeps nothing
+per client.
 
 Concurrent requests for the same (cluster, service) coalesce onto one
 in-flight deployment — exactly what the controller needs when a burst of
@@ -82,7 +85,8 @@ class DeploymentRetriesExhausted(DeploymentError):
 
 @dataclass
 class DeploymentRecord:
-    """Timing of one ensure-available run (phases that actually executed)."""
+    """Timing of one ensure-available run that deployed, retried or failed
+    (phases that actually executed)."""
 
     service: str
     cluster: str
@@ -115,10 +119,13 @@ class DeploymentEngine:
         #: deadline/backoff policy applied to every bring-up
         self.policy = policy if policy is not None else RetryPolicy()
         self._inflight: Dict[Tuple[str, str], "Process"] = {}
-        #: every completed run (experiment drivers read this)
+        #: every completed run that deployed, retried or failed (experiment
+        #: drivers read this)
         self.records: List[DeploymentRecord] = []
         #: diagnostics
         self.coalesced = 0
+        #: runs that found the instance ready at once (no record)
+        self.warm_reuses = 0
         #: failed attempts (each may be retried)
         self.attempt_failures = 0
         #: backoff retries actually taken
@@ -189,9 +196,9 @@ class DeploymentEngine:
     def _ensure_proc(self, cluster: EdgeCluster, service: EdgeService):
         spec = service.spec
         key = (cluster.name, service.name)
-        record = DeploymentRecord(
-            service=service.name, cluster=cluster.name,
-            cluster_type=cluster.cluster_type, started_at=self.sim.now)
+        started_at = self.sim.now
+        # Built once the run deploys or fails: a warm reuse leaves no record.
+        record: Optional[DeploymentRecord] = None
         attempt = 0
         try:
             while True:
@@ -200,9 +207,14 @@ class DeploymentEngine:
                     cluster.check_available()
                     if cluster.is_ready(spec):
                         endpoint = cluster.endpoint(spec)
-                        record.succeeded = True
+                        if record is None:
+                            self.warm_reuses += 1
+                        else:
+                            record.succeeded = True
                         return endpoint
 
+                    if record is None:
+                        record = self._new_record(cluster, service, started_at)
                     record.cold_start = True
                     # Phase 1: Pull ----------------------------------------
                     if not cluster.has_images(spec):
@@ -241,6 +253,8 @@ class DeploymentEngine:
                 except ProcessKilled:
                     raise  # this ensure run was killed from outside
                 except Exception as exc:  # noqa: BLE001 - retry or give up
+                    if record is None:
+                        record = self._new_record(cluster, service, started_at)
                     self.attempt_failures += 1
                     self.sim.trace.emit(self.sim.now, "deploy", "attempt-failed",
                                         {"service": service.name,
@@ -259,9 +273,17 @@ class DeploymentEngine:
                     self.retries += 1
                     yield self.sim.timeout(self.policy.backoff_s(attempt))
         finally:
-            record.finished_at = self.sim.now
-            self.records.append(record)
+            if record is not None:
+                record.finished_at = self.sim.now
+                self.records.append(record)
             self._inflight.pop(key, None)
+
+    @staticmethod
+    def _new_record(cluster: EdgeCluster, service: EdgeService,
+                    started_at: float) -> DeploymentRecord:
+        return DeploymentRecord(service=service.name, cluster=cluster.name,
+                                cluster_type=cluster.cluster_type,
+                                started_at=started_at)
 
     # ------------------------------------------------------------ tear down
 
@@ -294,9 +316,10 @@ class DeploymentEngine:
                     service: Optional[str] = None,
                     cold_only: bool = False,
                     include_failed: bool = False) -> List[DeploymentRecord]:
-        """Completed runs, **successful only** by default — failed or
-        interrupted runs carry partial timings that would pollute the
-        fig. 11–15 aggregations."""
+        """Completed runs that deployed or retried, **successful only** by
+        default — failed or interrupted runs carry partial timings that
+        would pollute the fig. 11–15 aggregations. Warm reuses are not
+        recorded (see :attr:`warm_reuses`)."""
         out = self.records
         if not include_failed:
             out = [r for r in out if r.succeeded]

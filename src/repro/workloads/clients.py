@@ -47,7 +47,6 @@ class TimedHTTPClient:
     def __init__(self, host: Host):
         self.host = host
         self.sim = host.sim
-        self.timings: list[RequestTiming] = []
 
     def fetch(self, addr: "IPv4", port: int,
               request: Optional[HTTPRequest] = None,
@@ -57,7 +56,9 @@ class TimedHTTPClient:
 
         Returns a process whose result is a :class:`RequestTiming`; network
         errors are captured in ``timing.error`` rather than raised, matching
-        how a measurement script treats curl failures.
+        how a measurement script treats curl failures. The client keeps no
+        timing itself: whoever holds the process owns its result (e.g. a
+        :class:`~repro.workloads.loadgen.LoadResult`).
         """
         if request is None:
             request = HTTPRequest(method="GET", path="/")
@@ -70,24 +71,20 @@ class TimedHTTPClient:
             try:
                 conn = yield self.host.connect(addr, port)
             except Exception as exc:  # noqa: BLE001 - refused / timeout
-                timing = RequestTiming(
+                return RequestTiming(
                     client=self.host.name, url=url, t_start=t0,
                     time_connect=self.sim.now - t0,
                     time_total=self.sim.now - t0,
                     status=0, error=type(exc).__name__)
-                self.timings.append(timing)
-                return timing
             t_connect = self.sim.now - t0
             response = yield conn.request(request, request_bytes)
             t_total = self.sim.now - t0
             if close:
                 conn.close()
-            timing = RequestTiming(
+            return RequestTiming(
                 client=self.host.name, url=url, t_start=t0,
                 time_connect=t_connect, time_total=t_total,
                 status=getattr(response, "status", 200), response=response)
-            self.timings.append(timing)
-            return timing
 
         return self.sim.spawn(proc(), name=f"timecurl:{self.host.name}")
 

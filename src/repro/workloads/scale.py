@@ -8,7 +8,12 @@ alternative: **one** device that impersonates ``n_clients`` clients on a
 single switch port, holding state only for the conversations currently in
 flight (a closed-loop window), and aggregating latencies through
 :class:`~repro.workloads.loadgen.LoadResult` in streaming mode
-(``keep_timings=False``) so memory stays constant at any client count.
+(``keep_timings=False``). A conversation that ends — closed, reset or
+timed out — leaves nothing in the bank: its entry is dropped and its
+watchdog event is cancelled, so the bank's objects *and* its pending events
+are bounded by the window. What a finished client still leaves elsewhere
+(the controller's learned host, the interned addresses) is listed in
+``docs/performance.md``, "What a finished client leaves behind".
 
 Wire fidelity: each impersonated client replays exactly the frame sequence
 a real :class:`~repro.netsim.host.Host` + ``TimedHTTPClient`` pair emits
@@ -55,7 +60,7 @@ from repro.workloads.clients import RequestTiming
 from repro.workloads.loadgen import LoadResult
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.simcore import Simulator
+    from repro.simcore import EventHandle, Simulator
 
 #: Bank clients live in 10.64.0.0/10 — disjoint from the testbed's
 #: 10.0.0.0/24 host allocations, room for ~4M clients.
@@ -88,22 +93,23 @@ class BankStalledError(RuntimeError):
 class _Conversation:
     """In-flight state for one impersonated client (window-bounded)."""
 
-    __slots__ = ("index", "ip", "mac", "state", "serial",
-                 "snd_nxt", "rcv_nxt", "t0", "t_connect")
+    __slots__ = ("index", "ip", "mac", "state",
+                 "snd_nxt", "rcv_nxt", "t0", "t_connect", "watchdog")
+
+    #: the pending timeout, set right after the SYN leaves and cancelled
+    #: when the conversation ends, so a finished client leaves no event
+    watchdog: "EventHandle"
 
     # states
     SYN_SENT = 0
     AWAIT_RESPONSE = 1
     CLOSING = 2
 
-    def __init__(self, index: int, addr: IPv4, mac_addr: MAC,
-                 serial: int, t0: float):
+    def __init__(self, index: int, addr: IPv4, mac_addr: MAC, t0: float):
         self.index = index
         self.ip = addr
         self.mac = mac_addr
         self.state = _Conversation.SYN_SENT
-        #: monotonically increasing launch id (watchdog match token)
-        self.serial = serial
         self.snd_nxt = 0
         self.rcv_nxt = 0
         self.t0 = t0
@@ -115,8 +121,9 @@ class ClientBank(Device):
 
     Closed loop: at most ``window`` conversations are in flight; finishing
     (or aborting) one immediately launches the next unserved client, so the
-    total frame count is deterministic and the in-memory state is bounded
-    by the window, never by ``n_clients``.
+    total frame count is deterministic. The conversation table and the
+    pending watchdogs are both bounded by the window, never by
+    ``n_clients``: an ending conversation cancels its watchdog.
     """
 
     def __init__(self, sim: "Simulator", name: str, n_clients: int,
@@ -149,7 +156,6 @@ class ClientBank(Device):
         self.result = LoadResult(keep_timings=False, stream=StreamingStats())
         self.launched = 0
         self.aborted = 0
-        self._serial = 0
         self._active: Dict[IPv4, _Conversation] = {}
         self._started = False
 
@@ -188,17 +194,17 @@ class ClientBank(Device):
         index = self.launched
         self.launched += 1
         self.result.issued += 1
-        self._serial += 1
         conv = _Conversation(index, self.client_ip(index),
-                             self.client_mac(index), self._serial, self.sim.now)
+                             self.client_mac(index), self.sim.now)
         self._active[conv.ip] = conv
         self._emit(conv, TCPFlags.SYN)
-        self.sim.schedule(CONVERSATION_TIMEOUT_S, self._watchdog,
-                          conv.ip, conv.serial)
+        conv.watchdog = self.sim.schedule(CONVERSATION_TIMEOUT_S,
+                                          self._watchdog, conv)
 
     def _fail(self, conv: _Conversation, error: str) -> None:
         """Account a failed conversation (``ok=False`` sample) and move on."""
         self._active.pop(conv.ip, None)
+        conv.watchdog.cancel()
         elapsed = self.sim.now - conv.t0
         self.result.record(RequestTiming(
             client=self.name, url=f"{self.service_addr}:{self.service_port}",
@@ -206,10 +212,9 @@ class ClientBank(Device):
             time_total=elapsed, status=0, error=error))
         self._launch_next()
 
-    def _watchdog(self, addr: IPv4, serial: int) -> None:
-        conv = self._active.get(addr)
-        if conv is None or conv.serial != serial:
-            return  # finished (or the slot moved on) long ago
+    def _watchdog(self, conv: _Conversation) -> None:
+        # Runs only for a conversation still in flight: one that ends
+        # cancels its watchdog.
         self.aborted += 1
         self._fail(conv, "ConversationTimeout")
 
@@ -287,6 +292,7 @@ class ClientBank(Device):
 
     def _finish_closed(self, conv: _Conversation) -> None:
         self._active.pop(conv.ip, None)
+        conv.watchdog.cancel()
         self._launch_next()
 
 

@@ -64,16 +64,19 @@ class TestDeploymentEngine:
             sum(record.phases.values()) + record.wait_s, rel=0.01)
 
     def test_warm_run_skips_everything(self, env):
+        """A warm reuse returns the endpoint, spends no simulated time and
+        leaves no record: it only counts in ``warm_reuses``."""
         net, clusters, service, engine, _, _ = env
         engine.ensure_available(clusters[0], service)
         net.run()
+        records = list(engine.records)
+        assert engine.warm_reuses == 0
         t0 = net.now
         p = engine.ensure_available(clusters[0], service)
         net.run()
-        assert p.result is not None
-        record = engine.records[-1]
-        assert not record.cold_start
-        assert record.phases == {}
+        assert p.result == clusters[0].endpoint(service.spec)
+        assert engine.records == records
+        assert engine.warm_reuses == 1
         assert net.now == t0  # no simulated time spent
 
     def test_pull_skipped_when_cached(self, env):
@@ -140,15 +143,38 @@ class TestDeploymentEngine:
         assert not clusters[0].has_images(service.spec)
 
     def test_records_filtering(self, env):
+        """Every filter on real records: cold, warm (no record), scale_down,
+        cold again, and a failed run seen only with ``include_failed``."""
         net, clusters, service, engine, _, _ = env
         engine.ensure_available(clusters[0], service)
         net.run()
-        engine.ensure_available(clusters[0], service)
+        engine.ensure_available(clusters[0], service)  # warm: no record
         net.run()
-        assert len(engine.records_for(cluster_type="docker")) == 2
-        assert len(engine.records_for(cold_only=True)) == 1
-        assert len(engine.records_for(service=service.name)) == 2
+        engine.scale_down(clusters[0], service)
+        net.run()
+        engine.ensure_available(clusters[0], service)  # cold again
+        net.run()
+        net.sim.faults.configure_many({"registry.pull": 1.0})
+        failed = engine.ensure_available(clusters[1], service)
+        net.run()
+        assert failed.exception is not None
+        assert engine.warm_reuses == 1
+
+        first, second, broken = engine.records
+        assert first.cold_start and second.cold_start
+        assert first.succeeded and second.succeeded and not broken.succeeded
+        assert set(second.phases) == {"scale_up"}
+        assert broken.cluster == clusters[1].name
+        assert broken.error is not None
+        assert engine.records_for() == [first, second]
+        assert engine.records_for(cluster_type="docker") == [first, second]
+        assert engine.records_for(cold_only=True) == [first, second]
+        assert engine.records_for(service=service.name) == [first, second]
+        assert engine.records_for(service="no-such-service") == []
         assert engine.records_for(cluster_type="kubernetes") == []
+        assert engine.records_for(include_failed=True) == [first, second, broken]
+        assert engine.records_for(include_failed=True,
+                                  service=service.name) == [first, second, broken]
 
 
 class TestDispatcher:

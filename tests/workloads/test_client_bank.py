@@ -13,8 +13,16 @@ import pytest
 
 from repro.experiments import build_testbed
 from repro.netsim import ETH_TYPE_IP
+from repro.netsim.packet import (
+    IP_PROTO_TCP,
+    EthernetFrame,
+    IPv4Packet,
+    TCPFlags,
+    TCPSegment,
+)
 from repro.workloads.scale import (
     BANK_NET,
+    CONVERSATION_TIMEOUT_S,
     ClientBank,
     attach_client_bank,
     run_client_bank,
@@ -176,16 +184,26 @@ class TestBankMechanics:
 
     def test_controller_keeps_nothing_per_finished_client(self):
         """Once one-shot clients finish and every idle timeout has fired,
-        FlowMemory, the cookie ledger, pending dispatches and dispatch
-        processes are empty at every client count; the learned-host table
-        is the one per-client state left (it never ages)."""
+        FlowMemory, the cookie ledger, pending dispatches, dispatch
+        processes, the event heap and the deployment records are back where
+        they started at every client count; the learned-host table is the
+        one per-client state left (it never ages)."""
         other_hosts = []
         for n_clients in (40, 160):
             tb, svc = _warm_testbed()
             ctrl = tb.controller
             bank = attach_client_bank(tb, svc, n_clients=n_clients, window=16)
+            pending = tb.sim.pending_count()
+            records = list(tb.engine.records)
             assert run_client_bank(tb, bank).ok_count == n_clients
+            # every conversation cancelled its watchdog when it closed, so
+            # none waits out its 30 s beyond the bank's last client
+            assert tb.sim.pending_count() == pending
             tb.run(until=tb.sim.now + 10.0)  # past the 0.5 s / 2 s idle timeouts
+            assert tb.sim.pending_count() == pending
+            # every dispatch was a warm reuse: counted, not recorded
+            assert tb.engine.records == records
+            assert tb.engine.warm_reuses == n_clients
             assert len(ctrl.memory) == 0
             assert ctrl._redirects == {}
             assert ctrl._pending == {}
@@ -213,8 +231,40 @@ class TestBankMechanics:
                           service_port=svc.service_id.port,
                           vgw_mac=tb.controller.cfg.vgw_mac)
         # Deliberately NOT attached to the switch: every SYN goes nowhere.
-        bank.start()
+        t0 = tb.sim.now
+        bank.start(spacing_s=0.0)
+        tb.run(until=t0 + CONVERSATION_TIMEOUT_S - 1e-6)
+        assert bank.aborted == 0  # still waiting, one tick before the timeout
+        tb.run(until=t0 + CONVERSATION_TIMEOUT_S)
+        assert bank.aborted == 2  # both launched at t0: both time out at t0 + 30 s
         tb.run(until=tb.sim.now + 120.0)
         assert bank.done
         assert bank.result.ok_count == 0
         assert bank.result.failed == 2
+
+    def test_reset_conversation_cancels_its_watchdog(self):
+        """A conversation that ends by RST (``_fail``) takes its watchdog
+        with it: the event no longer counts as pending and never fires."""
+        tb, svc = _warm_testbed()
+        bank = ClientBank(tb.sim, "reset-bank", n_clients=1,
+                          service_addr=svc.service_id.addr,
+                          service_port=svc.service_id.port,
+                          vgw_mac=tb.controller.cfg.vgw_mac)
+        pending = tb.sim.pending_count()
+        bank.start()
+        tb.run(until=tb.sim.now + 0.001)  # the SYN left (and went nowhere)
+        assert bank.active_count == 1
+        assert tb.sim.pending_count() == pending + 1  # the watchdog
+        rst = TCPSegment(src_port=svc.service_id.port, dst_port=bank.local_port,
+                         flags=TCPFlags.RST | TCPFlags.ACK)
+        bank.on_frame(0, EthernetFrame(
+            src=tb.controller.cfg.vgw_mac, dst=bank.client_mac(0),
+            ethertype=ETH_TYPE_IP,
+            payload=IPv4Packet(src=svc.service_id.addr, dst=bank.client_ip(0),
+                               proto=IP_PROTO_TCP, payload=rst)))
+        assert bank.done
+        assert bank.result.failed == 1
+        assert tb.sim.pending_count() == pending
+        tb.run(until=tb.sim.now + 2 * CONVERSATION_TIMEOUT_S)
+        assert bank.aborted == 0
+        assert bank.result.failed == 1

@@ -1,10 +1,13 @@
 """Unit tests for the timecurl-style timed HTTP client."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.edge.services import ServiceBehavior, catalog_behavior
 from repro.netsim import Network
-from repro.workloads.clients import TimedHTTPClient
+from repro.workloads.clients import RequestTiming, TimedHTTPClient
 
 
 @pytest.fixture
@@ -31,12 +34,20 @@ def test_fetch_measures_connect_and_total(rig):
     assert timing.time_total >= behavior.request_cpu_s
 
 
-def test_fetch_records_into_timings_list(rig):
+def test_fetch_result_is_the_timing_and_the_client_keeps_none(rig):
+    """The process result is the only home of a timing: once the caller
+    drops the process, the timing (response and body included) is freed."""
     net, client, server, behavior = rig
     for _ in range(3):
-        client.fetch(server.ip, 80)
+        p = client.fetch(server.ip, 80)
         net.run()
-    assert len(client.timings) == 3
+        assert isinstance(p.result, RequestTiming)
+        assert p.result.ok
+    finished = weakref.ref(p.result)
+    del p
+    gc.collect()
+    assert finished() is None
+    assert not hasattr(client, "timings")
 
 
 def test_refused_port_reported_as_error_not_raised(rig):
