@@ -476,26 +476,22 @@ class NoWholesaleMemoFlush(Rule):
 
     code = "REP009"
     name = "no-wholesale-memo-flush"
-    rationale = ("calling .clear() on a cache/memo/microflow mapping outside "
-                 "the revalidation layer reintroduces the wholesale-flush "
-                 "pathology the fine-grained revalidation work removed (one "
-                 "churn event colds every unrelated key); evict per key, or "
-                 "route the flush through repro.core.revalidation")
+    rationale = ("calling .clear() on a cache/memo/microflow mapping "
+                 "reintroduces the wholesale-flush pathology the "
+                 "fine-grained revalidation work removed (one churn event "
+                 "colds every unrelated key); evict per key, or mark a flush "
+                 "that is the finest correct granularity with a noqa")
 
     #: attribute-name markers of generation-keyed memo containers; matched
     #: against whole underscore-separated segments of the name, so `memo`
     #: flags `_service_memo` but not `memory` (FlowMemory is authoritative
     #: state — clearing it is a semantic reset, not a memo flush)
     MARKERS = frozenset({"cache", "caches", "memo", "memos", "microflow"})
-    #: the one module allowed to wholesale-flush (it IS the revalidation
-    #: layer: capacity bounds and explicit crash resets live there)
-    ALLOWED = "repro/core/revalidation.py"
     #: only library code is restricted; tests exercise flushes on purpose
     SCOPE = "src/repro/"
 
     def _in_scope(self, path: str) -> bool:
-        normalized = path.replace("\\", "/")
-        return self.SCOPE in normalized and self.ALLOWED not in normalized
+        return self.SCOPE in path.replace("\\", "/")
 
     def _memo_name(self, node: ast.AST) -> Optional[str]:
         """Terminal attribute/name a ``.clear()`` was called on, if it
@@ -523,8 +519,7 @@ class NoWholesaleMemoFlush(Rule):
             name = self._memo_name(func.value)
             if name is not None:
                 yield node, (f"wholesale `.clear()` of memo container "
-                             f"`{name}` — evict per key (or go through the "
-                             f"revalidation layer in repro.core.revalidation)")
+                             f"`{name}` — evict per key")
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,7 @@ from repro.core.cookies import (
 from repro.core.dispatcher import Dispatcher, DispatchResult
 from repro.core.fabric import FabricTopology
 from repro.core.flowmemory import FlowMemory, MemorizedFlow
-from repro.core.registry import EdgeService, RegistryToken, ServiceRegistry
-from repro.core.revalidation import RevalidatingCache
+from repro.core.registry import EdgeService, ServiceRegistry
 from repro.core.serviceid import ServiceID
 from repro.edge.cluster import EdgeCluster, Endpoint
 from repro.netsim.addresses import MAC, IPv4
@@ -75,9 +74,6 @@ class AttachmentPoint:
     mac: MAC
     ip: IPv4
 
-
-#: memoized service decisions kept per controller before a wholesale flush
-SERVICE_MEMO_CAPACITY = 4096
 
 #: priority bands of redirection and plain L3 route flows
 SERVICE_FLOW_PRIORITY = 20
@@ -186,17 +182,6 @@ class TransparentEdgeController(RyuApp):
         self.hosts: Dict[IPv4, Tuple[int, int, MAC]] = {}
         for addr, attachment in self.cfg.static_hosts.items():
             self.hosts[addr] = (attachment.dpid, attachment.port_no, attachment.mac)
-        #: memoized registry lookups: (dst ip, dst port, protocol) ->
-        #: EdgeService | None, each entry revalidated against the
-        #: registry's per-key token. Protocol is part of the key — a TCP
-        #: and a UDP service on the same address:port are distinct
-        #: registrations and must not collide in the memo.
-        self._service_memo: RevalidatingCache[Tuple[IPv4, int, str],
-                                              Optional[EdgeService],
-                                              RegistryToken] = RevalidatingCache(
-            token_of=self._service_token,
-            generation_of=self._registry_generation,
-            capacity=SERVICE_MEMO_CAPACITY)
         #: pending dispatches: (client, service_id) -> buffered packet-ins
         self._pending: Dict[Tuple[IPv4, ServiceID], List] = {}
         #: the cookie ledger: cookie -> live redirection. Each record holds
@@ -317,40 +302,19 @@ class TransparentEdgeController(RyuApp):
 
     def service_decision(self, dst: IPv4, dst_port: int,
                          protocol: str = "TCP") -> Optional[EdgeService]:
-        """Public probe of the packet-in service decision (memoized exactly
-        like the data path): invariant checks compare this against the live
-        registry to prove the memo never leaks a stale answer under churn."""
+        """Public probe of the packet-in service decision: the same call
+        the data path makes, so invariant checks can compare it against the
+        live registry under churn."""
         return self._lookup_service(dst, dst_port, protocol)
-
-    def service_memo_stats(self) -> Dict[str, int]:
-        """Diagnostics of the service memo (hits, misses, revalidations,
-        invalidations, flushes)."""
-        return self._service_memo.stats()
-
-    def _service_token(self, key: Tuple[IPv4, int, str]) -> RegistryToken:
-        """The service memo's per-key revalidation token."""
-        dst, dst_port, protocol = key
-        return self.registry.generation_of(dst, dst_port, protocol)
-
-    def _registry_generation(self, _key: Tuple[IPv4, int, str]) -> int:
-        return self.registry.generation
 
     def _lookup_service(self, dst: IPv4, dst_port: int,
                         protocol: str = "TCP") -> Optional[EdgeService]:
-        """Registry lookup, memoized per (dst, port, protocol). Negative
-        answers are cached too — the common miss is plain L3 traffic
-        hammering the same non-service destination. Prefix-aware: an
-        address inside a subnet-registered prefix resolves to that service
-        (longest match wins). Each memo entry revalidates against the
-        registry's per-key token, so churn on unrelated services keeps the
-        whole cache warm."""
-        key = (dst, dst_port, protocol)
-        found, cached = self._service_memo.get(key)
-        if found:
-            return cached
-        service = self.registry.lookup_prefix(dst, dst_port, protocol)
-        self._service_memo.store(key, service)
-        return service
+        """The service a first packet to ``dst:dst_port`` belongs to, read
+        from the live registry on every call. Prefix-aware: an address
+        inside a subnet-registered prefix resolves to that service (longest
+        match wins). Nothing is cached: an exact registration is one dict
+        probe, which is cheaper than keeping any cache in step with churn."""
+        return self.registry.lookup_prefix(dst, dst_port, protocol)
 
     # ------------------------------------------------------------- learning
 
@@ -726,8 +690,6 @@ class TransparentEdgeController(RyuApp):
         for addr, attachment in self.cfg.static_hosts.items():
             self.hosts[addr] = (attachment.dpid, attachment.port_no,
                                 attachment.mac)
-        # Crash reset: a warm-restarted controller must forget its memo.
-        self._service_memo.flush()
         self._redirects.clear()
         for cluster in self.dispatcher.clusters:
             self.dispatcher.load[cluster.name] = 0

@@ -18,12 +18,13 @@ O(address bits) per decision) rather than a flat set:
   prefix, the LPM winner takes precedence.
 
 Churn contract: :attr:`ServiceRegistry.generation` bumps on **every**
-register/deregister.  Memoized consumers (the controller's service memo,
-``repro.verify`` incremental snapshots) must revalidate against it — see
-docs/registry.md.  :meth:`ServiceRegistry.generation_of` refines the global
-counter into a *per-key* revalidation token, so a memo entry for one
-service identity survives churn on every other one (docs/performance.md,
-"Revalidation").
+register/deregister.  Memoized consumers (``repro.verify`` incremental
+snapshots) must revalidate against it — see docs/registry.md.
+:meth:`ServiceRegistry.generation_of` refines the global counter into a
+*per-key* revalidation token, so a memo entry for one service identity
+would survive churn on every other one (docs/performance.md,
+"Revalidation"). Its one consumer, the controller's service memo, was
+deleted; the performance ledger still reports the token, so it stays.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _IdentityTuple = Tuple[IPv4, int, str]
 RegistryToken = Tuple[int, Tuple[Tuple[int, int, int], ...]]
 
 #: bound on the per-identity token memo inside :meth:`generation_of` —
-#: large enough that the controller's revalidation traffic never overflows
+#: large enough that a revalidating caller's traffic never overflows
 #: it in practice, small enough to cap worst-case growth from probing
 #: arbitrary (unregistered) destinations
 _TOKEN_CACHE_CAPACITY = 65_536
@@ -92,7 +93,7 @@ class ServiceRegistry:
         #: host registrations live at /32, subnet registrations wider
         self._trie: PrefixTrie[Dict[_PortKey, EdgeService]] = PrefixTrie()
         #: bumped on every register/deregister; memoized lookup results
-        #: (the controller's service memo) are valid only while it is unchanged
+        #: are valid only while it is unchanged
         self.generation = 0
         #: per-identity stamps — the global generation's value at each exact
         #: ServiceID's last register/deregister; feeds :meth:`generation_of`
@@ -100,10 +101,10 @@ class ServiceRegistry:
         #: generation-gated memo over :meth:`generation_of`: a token is a
         #: pure function of registry state and the global counter moves on
         #: every mutation, so a cached token is valid exactly while the
-        #: generation it was computed under is still current. A service-memo
-        #: entry that fails revalidation asks for the same identity's token
-        #: twice (the failed check, then the store of the recomputed
-        #: answer); this keeps that to one trie walk.
+        #: generation it was computed under is still current. A memo entry
+        #: that fails revalidation asks for the same identity's token twice
+        #: (the failed check, then the store of the recomputed answer); this
+        #: keeps that to one trie walk.
         #: Keyed on the same identity tuple as ``_id_stamps``, so a miss
         #: builds one key for both.
         self._token_cache: Dict[_IdentityTuple, Tuple[int, RegistryToken]] = {}

@@ -10,10 +10,10 @@ drives conversations through one real target service.
 Invariants recorded as CSV columns (both must be zero):
 
 * ``misdispatched`` — decision-coherence probes: after every churn batch a
-  sample of service identities is pushed through the controller's memoized
+  sample of service identities is pushed through the controller's
   packet-in decision (:meth:`service_decision`) and compared against the
   live registry's ground truth (``lookup_prefix``).  Any disagreement means
-  a stale memo survived a generation bump — a packet would have been
+  the decision answered from stale state — a packet would have been
   dispatched to a deregistered service or routed past a registered one.
   Unserved bank conversations count here too.
 * ``verify_violations`` — the full data-plane verifier (V1–V5) at quiesce.
@@ -79,7 +79,7 @@ def c1_churn_cell(n_services: int, churn_ops: int, clients: int,
     state = {"applied": 0, "misdispatched": 0, "probes": 0}
 
     def _probe() -> None:
-        """Memoized decision vs. live registry over a sample of identities
+        """Packet-in decision vs. live registry over a sample of identities
         (deregistered ones are the negative probes)."""
         for _ in range(probes_per_batch):
             sid = service_ids[probe_rng.randrange(len(service_ids))]
@@ -105,7 +105,7 @@ def c1_churn_cell(n_services: int, churn_ops: int, clients: int,
     bank = attach_client_bank(tb, target, n_clients=clients, window=window)
     result = run_client_bank(tb, bank)
     # The bank may drain before the schedule does: apply the remainder (the
-    # coherence probes still run against the live memo).
+    # coherence probes still run against the live decision).
     while state["applied"] < len(script):
         op, sid = script[state["applied"]]
         apply_churn_op(registry, op, sid)
@@ -145,7 +145,7 @@ def c1_registry_churn(
                  "verify_violations", "decision_probes",
                  "registry_generation", "registered_at_quiesce",
                  "dispatches", "mean_ms", "p95_ms"],
-        note="misdispatched = memoized decision != live registry at probe "
+        note="misdispatched = packet-in decision != live registry at probe "
              "time, plus unserved conversations; must be 0",
     )
     cells = [Cell(fn=c1_churn_cell, seed=401,

@@ -27,11 +27,11 @@ class PerfCounters:
     ``+``/``-`` compose snapshots: ``after - before`` is the cost of the
     work in between, and worker deltas sum into a run total with ``+``.
 
-    The ``microflow_evictions``/``microflow_flushes`` and ``memo_*``
-    fields account for the fine-grained revalidation layer: surgical
-    per-key evictions vs wholesale flushes on the switch caches, and
-    token revalidations vs invalidations/flushes on the controller memos
-    (see docs/performance.md, "Revalidation").
+    The ``microflow_evictions``/``microflow_flushes`` fields account for
+    the switch's microflow revalidation: surgical per-key evictions vs
+    wholesale flushes (see docs/performance.md, "Revalidation").
+    ``memo_revalidations``/``memo_invalidations`` have no writer: they
+    read 0 and stay only because the performance ledger reports them.
     """
 
     events_executed: int = 0
@@ -43,7 +43,6 @@ class PerfCounters:
     microflow_flushes: int = 0
     memo_revalidations: int = 0
     memo_invalidations: int = 0
-    memo_flushes: int = 0
 
     def __add__(self, other: "PerfCounters") -> "PerfCounters":
         return PerfCounters(**{

@@ -108,10 +108,7 @@ class RunReport:
                       f"{perf.flow_lookups} table lookups, "
                       f"microflow hit rate {100.0 * perf.microflow_hit_rate:.1f}% "
                       f"({perf.microflow_evictions} surgical evictions, "
-                      f"{perf.microflow_flushes} flushes); "
-                      f"memo revalidation: {perf.memo_revalidations} kept, "
-                      f"{perf.memo_invalidations} invalidated, "
-                      f"{perf.memo_flushes} flushes")
+                      f"{perf.microflow_flushes} flushes)")
         return table
 
     def render(self) -> str:

@@ -111,7 +111,6 @@ class OpenLoopGenerator:
         self.result = LoadResult(
             keep_timings=keep_timings,
             stream=None if keep_timings else StreamingStats())
-        self._processes: List = []
 
     def start(self, duration_s: float) -> LoadResult:
         """Schedule all arrivals for ``duration_s`` (call, then run the sim)."""
@@ -137,10 +136,6 @@ class OpenLoopGenerator:
             process = client.fetch(self.service.service_id.addr,
                                    self.service.service_id.port)
         self.result.issued += 1
-        if self.result.keep_timings:
-            # Streaming mode skips the retention list — the whole point is
-            # constant memory across millions of in-flight histories.
-            self._processes.append(process)
         process._wait_subscribe(lambda p: self._done(p))
 
     def _done(self, process) -> None:

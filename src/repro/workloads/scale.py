@@ -144,6 +144,8 @@ class ClientBank(Device):
         self.client_base = client_base
         self.service_addr = service_addr
         self.service_port = service_port
+        #: every conversation's ``RequestTiming.url``, formatted once
+        self._url = f"{service_addr}:{service_port}"
         self.vgw_mac = vgw_mac
         self.window = min(window, n_clients)
         self.local_port = local_port
@@ -207,7 +209,7 @@ class ClientBank(Device):
         conv.watchdog.cancel()
         elapsed = self.sim.now - conv.t0
         self.result.record(RequestTiming(
-            client=self.name, url=f"{self.service_addr}:{self.service_port}",
+            client=self.name, url=self._url,
             t_start=conv.t0, time_connect=conv.t_connect,
             time_total=elapsed, status=0, error=error))
         self._launch_next()
@@ -269,7 +271,7 @@ class ClientBank(Device):
                 conv.rcv_nxt += seg.payload_bytes
                 if seg.last_fragment:
                     timing = RequestTiming(
-                        client=self.name, url=f"{self.service_addr}:{self.service_port}",
+                        client=self.name, url=self._url,
                         t_start=conv.t0, time_connect=conv.t_connect,
                         time_total=self.sim.now - conv.t0,
                         status=getattr(seg.payload, "status", 200))

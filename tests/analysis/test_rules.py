@@ -247,10 +247,11 @@ def test_rep009_ignores_clears_with_arguments_and_other_methods():
     assert codes_at("self._plan_cache.pop(key)\n", LIB_PATH) == []
 
 
-def test_rep009_scope_excludes_revalidation_layer_and_tests():
+def test_rep009_scope_excludes_tests_only():
     source = "self._entries.clear()\nself._plan_cache.clear()\n"
-    assert codes_at(source, "src/repro/core/revalidation.py") == []
-    assert codes_at(source, "tests/core/test_fine_revalidation.py") == []
+    assert codes_at(source, "tests/core/test_service_decision.py") == []
+    # no library module is exempt
+    assert codes_at(source, "src/repro/core/registry.py") == ["REP009"]
 
 
 def test_rep009_honours_noqa():

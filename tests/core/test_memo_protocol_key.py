@@ -4,7 +4,9 @@ The registry keys services on the ``(addr, port, protocol)`` triple; the
 controller's memoized service decision once keyed its cache on just
 ``(addr, port)``, so a TCP service's cached answer leaked into UDP lookups
 for the same address and port (and vice versa).  These tests drive the
-memoized decision differentially against the live registry.
+decision differentially against the live registry.  The memo has since
+been deleted (the decision is the live lookup); they stay as the guard
+should any cache come back in front of the registry.
 """
 
 from repro.core.serviceid import ServiceID

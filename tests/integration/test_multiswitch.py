@@ -1,5 +1,10 @@
 """Integration tests for the multi-switch fabric (access/core topology)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.fabric import FabricError, FabricTopology
@@ -59,6 +64,65 @@ class TestFabricTopology:
         fabric.add_link(2, 2, 3, 1, weight=1.0)
         fabric.add_link(1, 2, 3, 2, weight=10.0)  # direct but expensive
         assert fabric.path(1, 3) == [1, 2, 3]
+
+    def test_weighted_diamond_prefers_cost_over_hops(self):
+        fabric = FabricTopology()
+        # the two-hop side first, so insertion order alone would pick it
+        fabric.add_link(1, 1, 2, 1, weight=5.0)
+        fabric.add_link(2, 2, 4, 1, weight=5.0)
+        fabric.add_link(1, 2, 3, 1, weight=1.0)
+        fabric.add_link(3, 2, 5, 1, weight=1.0)
+        fabric.add_link(5, 2, 4, 2, weight=1.0)
+        assert fabric.path(1, 4) == [1, 3, 5, 4]
+        assert fabric.path(4, 1) == [4, 5, 3, 1]
+        assert fabric.hops(1, 4) == 3
+
+    @pytest.mark.parametrize("first_side, second_side", [(9, 3), (3, 9)])
+    def test_equal_cost_tie_goes_to_the_first_added_link(self, first_side,
+                                                         second_side):
+        """Two two-hop paths of equal cost: the side whose link from the
+        source was added first wins, whatever the dpid numbers."""
+        fabric = FabricTopology()
+        fabric.add_link(1, first_side, first_side, 1, weight=1.0)
+        fabric.add_link(1, second_side, second_side, 1, weight=1.0)
+        fabric.add_link(second_side, 2, 4, second_side, weight=1.0)
+        fabric.add_link(first_side, 2, 4, first_side, weight=1.0)
+        assert fabric.path(1, 4) == [1, first_side, 4]
+
+    def test_disconnected_and_unknown_switches_raise(self):
+        fabric = FabricTopology()
+        fabric.add_link(1, 1, 2, 1)
+        fabric.add_link(3, 1, 4, 1)  # a second island
+        for src, dst in ((1, 4), (4, 1), (1, 99), (99, 1)):
+            with pytest.raises(FabricError):
+                fabric.path(src, dst)
+        with pytest.raises(FabricError):
+            fabric.hops(2, 3)
+        # joining the islands makes the pair routable
+        fabric.add_link(2, 2, 3, 2)
+        assert fabric.path(1, 4) == [1, 2, 3, 4]
+
+    def test_negative_weight_rejected(self):
+        fabric = FabricTopology()
+        with pytest.raises(FabricError):
+            fabric.add_link(1, 1, 2, 1, weight=-1.0)
+        assert not fabric.has_switch(1)
+
+
+def test_importing_the_package_loads_no_networkx():
+    """Shortest paths are computed in-house: importing the library (the
+    fabric rides in with the controller) pulls in no undeclared graph
+    library."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH", "")) if p)
+    code = ("import sys\n"
+            "import repro.core, repro.experiments\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 class TestMultiSwitchDataPath:

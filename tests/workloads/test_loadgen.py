@@ -1,9 +1,17 @@
 """Tests for the open/closed-loop load generators."""
 
+import gc
+
 import pytest
 
 from repro.experiments import build_testbed
+from repro.simcore.process import Process
 from repro.workloads.loadgen import ClosedLoopGenerator, OpenLoopGenerator
+
+
+def _live_processes():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, Process))
 
 
 @pytest.fixture
@@ -51,6 +59,20 @@ class TestOpenLoop:
         totals = result.totals()
         assert len(totals) == result.issued
         assert all(t > 0 for t in totals)
+
+    def test_finished_requests_leave_no_process_behind(self, rig):
+        """The result keeps every timing; nothing keeps the request
+        processes that produced them, though the generator is alive."""
+        tb, svc = rig
+        before = _live_processes()
+        generator = OpenLoopGenerator(tb, svc, rate_rps=50.0,
+                                      keep_timings=True)
+        result = generator.start(duration_s=4.0)
+        tb.run(until=tb.sim.now + 10.0)
+        assert result.issued == 200
+        assert len(result.timings) == len(result.ok) == 200
+        assert _live_processes() == before
+        assert generator.result is result
 
 
 class TestClosedLoop:
