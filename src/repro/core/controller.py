@@ -294,26 +294,22 @@ class TransparentEdgeController(RyuApp):
         fields = msg.fields
         dst_port = fields.get("tcp_dst")
         if dst_port is not None:
-            service = self._lookup_service(packet.dst, dst_port, "TCP")
+            service = self.registry.lookup_prefix(packet.dst, dst_port, "TCP")
             if service is not None:
                 self._handle_service_packet(datapath, msg, service)
                 return
-        self._handle_plain_routing(datapath, msg)
+        self._route_toward(datapath, msg, packet.dst)
 
     def service_decision(self, dst: IPv4, dst_port: int,
                          protocol: str = "TCP") -> Optional[EdgeService]:
-        """Public probe of the packet-in service decision: the same call
-        the data path makes, so invariant checks can compare it against the
-        live registry under churn."""
-        return self._lookup_service(dst, dst_port, protocol)
-
-    def _lookup_service(self, dst: IPv4, dst_port: int,
-                        protocol: str = "TCP") -> Optional[EdgeService]:
-        """The service a first packet to ``dst:dst_port`` belongs to, read
-        from the live registry on every call. Prefix-aware: an address
-        inside a subnet-registered prefix resolves to that service (longest
-        match wins). Nothing is cached: an exact registration is one dict
-        probe, which is cheaper than keeping any cache in step with churn."""
+        """Public probe of the packet-in service decision: the service a
+        first packet to ``dst:dst_port`` belongs to, read from the live
+        registry exactly as the data path reads it, so invariant checks can
+        compare it against the registry under churn. Prefix-aware: an
+        address inside a subnet-registered prefix resolves to that service
+        (longest match wins). Nothing is cached: an exact registration is
+        one dict probe, which is cheaper than keeping any cache in step
+        with churn."""
         return self.registry.lookup_prefix(dst, dst_port, protocol)
 
     # ------------------------------------------------------------- learning
@@ -619,10 +615,6 @@ class TransparentEdgeController(RyuApp):
             self.dispatcher.note_flow_removed(record.cluster)
 
     # --------------------------------------------------------- plain routing
-
-    def _handle_plain_routing(self, datapath: "Datapath", msg) -> None:
-        dst = msg.frame.ipv4.dst
-        self._route_toward(datapath, msg, dst)
 
     def _route_toward(self, datapath: "Datapath", msg, dst: IPv4) -> None:
         location = self.hosts.get(dst)

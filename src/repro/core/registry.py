@@ -18,8 +18,9 @@ O(address bits) per decision) rather than a flat set:
   prefix, the LPM winner takes precedence.
 
 Churn contract: :attr:`ServiceRegistry.generation` bumps on **every**
-register/deregister.  Memoized consumers (``repro.verify`` incremental
-snapshots) must revalidate against it — see docs/registry.md.
+register/deregister (the churn experiment reports it). Nothing memoizes
+against it: every packet-in decision reads the live registry — see
+docs/registry.md.
 :meth:`ServiceRegistry.generation_of` refines the global counter into a
 *per-key* revalidation token, so a memo entry for one service identity
 would survive churn on every other one (docs/performance.md,

@@ -26,9 +26,9 @@ mypy-strict.
 
 Determinism: iteration yields prefixes in ascending ``(network, prefix_len)``
 order — no hash-order anywhere — and :attr:`PrefixTrie.generation` bumps on
-every successful mutation so memoizing callers (the controller's slow-path
-caches, the incremental verifier) can detect churn without subscribing to
-individual updates.
+every successful mutation. The counter and the per-prefix stamps feed only
+:meth:`~repro.core.registry.ServiceRegistry.generation_of`, which nothing
+on the packet path reads; the performance ledger still reports it.
 """
 
 from __future__ import annotations

@@ -22,18 +22,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.scheduler import LoadAwareScheduler, ProximityScheduler, RoundRobinScheduler
 from repro.experiments.pool import Cell, run_cells
-from repro.experiments.topologies import Testbed, build_testbed
+from repro.experiments.topologies import build_testbed, request_service
 from repro.metrics import Table, summarize
 from repro.openflow import Match
-
-
-def _request(tb: Testbed, svc, client_index: int = 0, window_s: float = 30.0):
-    request = tb.client(client_index).fetch(svc.service_id.addr, svc.service_id.port)
-    tb.run(until=tb.sim.now + window_s)
-    assert request.done, "request did not finish in window"
-    timing = request.result
-    assert timing.ok, f"request failed: {timing.error}"
-    return timing
 
 
 def flow_memory_cell(use_memory: bool, repeats: int,
@@ -47,11 +38,11 @@ def flow_memory_cell(use_memory: bool, repeats: int,
     warm = tb.engine.ensure_available(tb.clusters["docker-egs"], svc)
     tb.run(until=tb.sim.now + 60.0)
     assert warm.done and warm.exception is None
-    _request(tb, svc)  # prime memory + flows
+    request_service(tb, svc)  # prime memory + flows
     samples = []
     for _ in range(repeats):
         tb.run(until=tb.sim.now + 8.0)  # switch flows idle out
-        samples.append(_request(tb, svc).time_total)
+        samples.append(request_service(tb, svc).time_total)
     return {"flow_memory": "on" if use_memory else "off",
             "remiss_median": summarize(samples).median,
             "dispatches": tb.controller.stats["service_dispatches"]}
@@ -90,10 +81,10 @@ def waiting_mode_cell(mode: str, budget: Optional[float],
     pull = optimal.pull(svc.spec)
     tb.run(until=tb.sim.now + 60.0)
     assert warm.done and pull.done
-    first = _request(tb, svc)
+    first = request_service(tb, svc)
     # wait for flows+memory to idle out so the next request re-dispatches
     tb.run(until=tb.sim.now + 10.0)
-    later = _request(tb, svc, window_s=2.0)
+    later = request_service(tb, svc, window_s=2.0)
     remembered = tb.memory.peek(tb.clients[0].ip, svc.service_id)
     assert remembered is not None, "memory entry expired before peek"
     served_by_optimal = remembered.cluster is optimal
@@ -128,8 +119,8 @@ def hybrid_cell(strategy: str, seed: int = 47) -> Dict[str, object]:
         svc = tb.register_catalog_service("nginx")
         pull = tb.clusters["k8s-egs"].pull(svc.spec)
         tb.run(until=tb.sim.now + 60.0)
-        first = _request(tb, svc)
-        steady = _request(tb, svc, window_s=2.0)
+        first = request_service(tb, svc)
+        steady = request_service(tb, svc, window_s=2.0)
         return {"strategy": strategy, "first_request": first.time_total,
                 "steady_request": steady.time_total, "managed_by": "kubernetes"}
 
@@ -143,7 +134,7 @@ def hybrid_cell(strategy: str, seed: int = 47) -> Dict[str, object]:
     svc = tb.register_catalog_service("nginx")
     pull = docker.pull(svc.spec)  # shared containerd: also cached for K8s
     tb.run(until=tb.sim.now + 60.0)
-    first = _request(tb, svc)  # docker cold start ~0.6 s
+    first = request_service(tb, svc)  # docker cold start ~0.6 s
     # Background: move the service under Kubernetes management.
     deploy = tb.engine.ensure_available(k8s, svc)
     tb.run(until=tb.sim.now + 30.0)
@@ -152,7 +143,7 @@ def hybrid_cell(strategy: str, seed: int = 47) -> Dict[str, object]:
     tb.memory.clear()
     tb.switch.table.delete(Match(eth_type=0x0800, ip_proto=6))
     tb.run(until=tb.sim.now + 10.0)
-    steady = _request(tb, svc, window_s=2.0)
+    steady = request_service(tb, svc, window_s=2.0)
     remembered = tb.memory.peek(tb.clients[0].ip, svc.service_id)
     assert remembered is not None, "memory entry expired before peek"
     return {"strategy": strategy, "first_request": first.time_total,

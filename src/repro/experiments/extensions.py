@@ -16,22 +16,10 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.experiments.pool import Cell, run_cells
-from repro.experiments.topologies import Testbed, build_testbed
+from repro.experiments.topologies import build_testbed, request_service
 from repro.metrics import Table, summarize
 
 EXT_SERVICES = ("asm", "nginx", "resnet", "nginx+py")
-
-
-def _request(tb: Testbed, svc, client_index: int = 0, window_s: float = 30.0):
-    """Issue one timed request and advance the simulation by a bounded
-    window (so idle timers don't all expire)."""
-    request = tb.client(client_index).fetch(svc.service_id.addr,
-                                            svc.service_id.port)
-    tb.run(until=tb.sim.now + window_s)
-    assert request.done, "request did not finish in window"
-    timing = request.result
-    assert timing.ok, f"request failed: {timing.error}"
-    return timing
 
 
 # --------------------------------------------------------------------------
@@ -244,12 +232,12 @@ def e4_hierarchy_cell(flavour: str, seed: int = 73) -> Dict[str, object]:
     tb.run(until=tb.sim.now + 60.0)
     assert pre.done and pre.exception is None
 
-    first = _request(tb, svc, window_s=2.0)
+    first = request_service(tb, svc, window_s=2.0)
     first_served = tb.memory.peek(tb.clients[0].ip, svc.service_id)
     first_by = first_served.cluster.name if first_served else "cloud"
     # wait out flows+memory, then see where steady-state requests land
     tb.run(until=tb.sim.now + 30.0)
-    later = _request(tb, svc, window_s=5.0)
+    later = request_service(tb, svc, window_s=5.0)
     later_served = tb.memory.peek(tb.clients[0].ip, svc.service_id)
     later_by = later_served.cluster.name if later_served else "cloud"
     return {"scheduler": flavour,

@@ -49,7 +49,7 @@ from repro.netsim.host import Host
 from repro.openflow import ControlChannel, OpenFlowSwitch
 from repro.ryuapp import AppManager
 from repro.simcore import Simulator, TraceLog
-from repro.workloads.clients import TimedHTTPClient
+from repro.workloads.clients import RequestTiming, TimedHTTPClient
 
 VGW_IP = ip("10.255.255.254")
 VGW_MAC = mac("02:ed:9e:00:00:01")
@@ -176,6 +176,19 @@ class Testbed:
                                      min_gap_s=min_gap_s)
         self.controller.predeployer = deployer
         return deployer
+
+
+def request_service(tb: Testbed, svc: EdgeService, client_index: int = 0,
+                    window_s: float = 30.0) -> RequestTiming:
+    """Issue one timed request and advance the simulation by a bounded
+    window (so idle timers don't all expire); returns its timing."""
+    request = tb.client(client_index).fetch(svc.service_id.addr,
+                                            svc.service_id.port)
+    tb.run(until=tb.sim.now + window_s)
+    assert request.done, "request did not finish in window"
+    timing = request.result
+    assert timing.ok, f"request failed: {timing.error}"
+    return timing
 
 
 def add_docker_cluster(

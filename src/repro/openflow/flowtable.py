@@ -127,6 +127,10 @@ class FlowTable:
     ``on_removed(entry, reason)`` is invoked for entries that carried
     ``OFPFF_SEND_FLOW_REM`` — the switch turns this into a ``FlowRemoved``
     message to the controller.
+
+    The table looks up and counts; it does not judge its own rule set.
+    Properties of the rules as a whole (dead rules, redirect pairing,
+    loops) are computed by ``repro.verify`` on a frozen snapshot.
     """
 
     def __init__(self, sim: "Simulator", name: str = "table0",
@@ -147,14 +151,11 @@ class FlowTable:
         self._match_index: Dict[Tuple[Match, int], FlowEntry] = {}
         #: match -> entries (any priority), for strict delete w/o priority
         self._by_match: Dict[Match, List[FlowEntry]] = {}
-        #: bumped on every mutation; microflow caches key their validity on it
-        self.generation = 0
         #: mutation observers (set by the owning switch): invoked after an
         #: entry joins/leaves the index, so a microflow cache can evict only
         #: the cached flows the mutated rule could affect instead of flushing
-        #: wholesale on the generation bump. Replacement installs fire
-        #: ``on_entry_removed`` for the displaced entry, then
-        #: ``on_entry_installed`` for its successor.
+        #: wholesale. Replacement installs fire ``on_entry_removed`` for the
+        #: displaced entry, then ``on_entry_installed`` for its successor.
         self.on_entry_installed: Optional[Callable[[FlowEntry], None]] = None
         self.on_entry_removed: Optional[Callable[[FlowEntry], None]] = None
         #: cumulative diagnostics
@@ -179,7 +180,6 @@ class FlowTable:
         # sort key is intrinsic and insertion is a plain bisect.
         bisect.insort(self._entries, entry, key=_sort_key)
         self._index_add(entry)
-        self.generation += 1
         if self.on_entry_installed is not None:
             self.on_entry_installed(entry)
         entry.installed_at = self.sim.now
@@ -341,7 +341,6 @@ class FlowTable:
         if index < len(self._entries) and self._entries[index] is entry:
             del self._entries[index]
             self._index_remove(entry)
-            self.generation += 1
             if self.on_entry_removed is not None:
                 self.on_entry_removed(entry)
         if notify and self.on_removed is not None and (entry.flags & OFPFF_SEND_FLOW_REM):
@@ -352,46 +351,6 @@ class FlowTable:
             self._remove_entry(entry, OFPRR_DELETE, notify=False)
 
     # ---------------------------------------------------------------- stats
-
-    def shadowed_entries(self) -> List[FlowEntry]:
-        """Entries that can never match: fully covered by an earlier rule.
-
-        "Earlier" is lookup order — higher priority, or same priority and
-        lower seq. Uses the same four-bucket pruning as :meth:`lookup`
-        (a covering rule's exact src/dst is either equal to the covered
-        rule's or unconstrained), so the scan stays near-linear on the
-        service tables this runs against. The verifier's V5 invariant
-        (repro.verify.invariants.shadowing_violations) applies the same
-        algorithm to a frozen snapshot; this live variant feeds
-        ``OpenFlowSwitch.stats()``.
-        """
-        buckets: Dict[BucketKey, List[FlowEntry]] = {}
-        for entry in self._entries:
-            key = (entry.match.exact_value("ipv4_src"),
-                   entry.match.exact_value("ipv4_dst"))
-            buckets.setdefault(key, []).append(entry)
-        shadowed: List[FlowEntry] = []
-        for entry in self._entries:
-            src = entry.match.exact_value("ipv4_src")
-            dst = entry.match.exact_value("ipv4_dst")
-            found = False
-            for key in ((src, dst), (src, None), (None, dst), (None, None)):
-                for candidate in buckets.get(key, ()):  # table order
-                    if candidate is entry:
-                        continue
-                    earlier = (candidate.priority > entry.priority
-                               or (candidate.priority == entry.priority
-                                   and candidate.seq < entry.seq))
-                    if earlier and candidate.match.covers(entry.match):
-                        shadowed.append(entry)
-                        found = True
-                        break
-                if found:
-                    break
-        return shadowed
-
-    def shadowed_count(self) -> int:
-        return len(self.shadowed_entries())
 
     @property
     def entries(self) -> List[FlowEntry]:

@@ -480,11 +480,9 @@ class OpenFlowSwitch(Device):
             "table_lookups": self.table.lookups,
             "table_hits": self.table.hits,
             "flows": len(self.table),
-            "shadowed_rules": self.table.shadowed_count(),
             "microflow_entries": len(self._microflow),
             "mf_evictions": self.mf_evictions,
             "mf_flushes": self.mf_flushes,
-            "table_generation": self.table.generation,
             "controller_alive": self.controller_alive,
             "controller_outages_detected": self.controller_outages_detected,
         }

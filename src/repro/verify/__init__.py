@@ -3,20 +3,17 @@
 Snapshots the network (flow tables, topology, controller bookkeeping),
 partitions header space into equivalence classes, symbolically traces each
 class through the installed rewrite pipelines, and checks the transparency
-invariants V1–V5 (docs/verification.md). Ships a full checker, an
-incremental mode keyed on the substrate's generation counters, planted-
-violation mutations that prove the checker catches what it claims to, and
-a CLI: ``python -m repro.verify``.
+invariants V1–V5 (docs/verification.md). Ships the checker, planted-
+violation mutations that prove it catches what it claims to, and a CLI:
+``python -m repro.verify``.
 """
 
 from repro.verify.checker import (
-    VerifyCaches,
     verify_control_plane,
     verify_snapshot,
     verify_testbed,
 )
 from repro.verify.headerspace import HeaderClass, enumerate_classes
-from repro.verify.incremental import IncrementalVerifier
 from repro.verify.model import (
     ALL_INVARIANTS,
     INVARIANTS,
@@ -45,11 +42,9 @@ __all__ = [
     "V4_COHERENCE",
     "V5_SHADOWING",
     "HeaderClass",
-    "IncrementalVerifier",
     "NetworkSnapshot",
     "PLANTED",
     "VerificationReport",
-    "VerifyCaches",
     "Violation",
     "enumerate_classes",
     "snapshot_control_plane",

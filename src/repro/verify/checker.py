@@ -1,21 +1,16 @@
-"""The verification driver: full checks, with optional generation caches.
+"""The checker: one full verification of a snapshot per call.
 
-:func:`verify_snapshot` is the single entry point both modes share. The
-incremental mode (``repro.verify.incremental``) passes a
-:class:`VerifyCaches` whose entries are keyed on the generation counters
-the substrate already maintains (``FlowTable.generation``, registry /
-cluster / host-table versions); a cache hit replays the exact violation
-tuple the checker produced last time, so an incremental report is
-byte-identical to a full re-check *by construction* — the two modes run
-the same code, one of them just skips work whose inputs did not change.
+:func:`verify_snapshot` is the single entry point; the testbed and
+control-plane variants only choose the vantage point the snapshot is taken
+from. Every call re-derives everything from the snapshot, so a report is a
+pure function of the network state it describes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Tuple
 
-from repro.verify.headerspace import FieldsKey, enumerate_classes
+from repro.verify.headerspace import enumerate_classes
 from repro.verify.invariants import (
     class_violations,
     coherence_violations,
@@ -33,136 +28,35 @@ from repro.verify.model import (
     Violation,
 )
 from repro.verify.snapshot import NetworkSnapshot, snapshot_control_plane, snapshot_testbed
-from repro.verify.trace import RuleIndex
-
-#: everything outside the flow tables that can change a class verdict:
-#: liveness, host attachments, services, fabric wiring, gateway identity
-EnvSignature = Tuple[Any, ...]
-
-#: cached per-class result: (env signature, {dpid: generation} over the
-#: dpids the trace visited, violations)
-ClassEntry = Tuple[EnvSignature, Dict[int, int], Tuple[Violation, ...]]
-
-
-@dataclass
-class VerifyCaches:
-    """Generation-keyed memo of per-class and per-switch checker results."""
-
-    classes: Dict[Tuple[int, FieldsKey], ClassEntry] = field(
-        default_factory=dict)
-    transparency: Dict[int, Tuple[Any, Tuple[Violation, ...]]] = field(
-        default_factory=dict)
-    shadowing: Dict[int, Tuple[Any, Tuple[Violation, ...]]] = field(
-        default_factory=dict)
-    indices: Dict[int, Tuple[int, RuleIndex]] = field(default_factory=dict)
-    #: memoized class enumeration, keyed on (per-switch generations, env):
-    #: enumeration reads only rule matches (generation-covered) and the
-    #: env-signature inputs, so an unchanged key yields the identical tuple
-    enumeration: Optional[Tuple[Any, Tuple[Any, ...]]] = None
-    #: diagnostics: classes served from cache vs. re-traced (last run)
-    classes_reused: int = 0
-    classes_traced: int = 0
-
-
-def _env_signature(snapshot: NetworkSnapshot) -> EnvSignature:
-    control = snapshot.control
-    return (control.live_endpoints, control.services, snapshot.hosts,
-            snapshot.adjacency, control.vgw_ip, control.vgw_mac)
-
-
-def _indices(snapshot: NetworkSnapshot,
-             caches: Optional[VerifyCaches]) -> Dict[int, RuleIndex]:
-    out: Dict[int, RuleIndex] = {}
-    for view in snapshot.switches:
-        cached = caches.indices.get(view.dpid) if caches is not None else None
-        if cached is not None and cached[0] == view.generation:
-            out[view.dpid] = cached[1]
-            continue
-        index = RuleIndex(view)
-        out[view.dpid] = index
-        if caches is not None:
-            caches.indices[view.dpid] = (view.generation, index)
-    return out
+from repro.verify.trace import build_indices
 
 
 def verify_snapshot(snapshot: NetworkSnapshot,
                     invariants: Tuple[str, ...] = ALL_INVARIANTS,
                     strict_cookies: bool = True,
-                    caches: Optional[VerifyCaches] = None,
                     ) -> VerificationReport:
     """Check ``invariants`` over ``snapshot``; pure, mutation-free."""
     selected = tuple(i for i in ALL_INVARIANTS if i in invariants)
     violations: list[Violation] = []
-    generations = {view.dpid: view.generation for view in snapshot.switches}
     classes_checked = 0
 
     if V1_BLACKHOLE in selected or V2_LOOP in selected:
-        env = _env_signature(snapshot)
-        indices = _indices(snapshot, caches)
-        enum_key = (tuple(sorted(generations.items())), env)
-        if (caches is not None and caches.enumeration is not None
-                and caches.enumeration[0] == enum_key):
-            classes = caches.enumeration[1]
-        else:
-            classes = enumerate_classes(snapshot)
-            if caches is not None:
-                caches.enumeration = (enum_key, classes)
+        indices = build_indices(snapshot)
+        classes = enumerate_classes(snapshot)
         classes_checked = len(classes)
-        if caches is not None:
-            caches.classes_reused = 0
-            caches.classes_traced = 0
         for cls in classes:
-            cache_key = (cls.dpid, cls.fields)
-            entry = (caches.classes.get(cache_key)
-                     if caches is not None else None)
-            if entry is not None and entry[0] == env and all(
-                    generations.get(dpid) == gen
-                    for dpid, gen in entry[1].items()):
-                found = entry[2]
-                if caches is not None:
-                    caches.classes_reused += 1
-            else:
-                found, trace = class_violations(snapshot, indices, cls)
-                if caches is not None:
-                    caches.classes_traced += 1
-                    caches.classes[cache_key] = (
-                        env,
-                        {dpid: generations.get(dpid, -1)
-                         for dpid in trace.visited},
-                        found)
-            violations.extend(v for v in found if v.invariant in selected)
+            violations.extend(v for v in class_violations(snapshot, indices, cls)
+                              if v.invariant in selected)
 
     if V3_TRANSPARENCY in selected:
-        sig = (snapshot.control.services, snapshot.hosts,
-               snapshot.control.vgw_mac)
         for view in snapshot.switches:
-            entry = (caches.transparency.get(view.dpid)
-                     if caches is not None else None)
-            key = (view.generation, sig)
-            if entry is not None and entry[0] == key:
-                found = entry[1]
-            else:
-                found = transparency_violations(snapshot, view)
-                if caches is not None:
-                    caches.transparency[view.dpid] = (key, found)
-            violations.extend(found)
+            violations.extend(transparency_violations(snapshot, view))
 
     if V5_SHADOWING in selected:
         for view in snapshot.switches:
-            entry = (caches.shadowing.get(view.dpid)
-                     if caches is not None else None)
-            key = (view.generation, view.stale_cache)
-            if entry is not None and entry[0] == key:
-                found = entry[1]
-            else:
-                found = shadowing_violations(view)
-                if caches is not None:
-                    caches.shadowing[view.dpid] = (key, found)
-            violations.extend(found)
+            violations.extend(shadowing_violations(view))
 
     if V4_COHERENCE in selected:
-        # Cheap (one linear pass) and coupled to the whole control view —
-        # always recomputed.
         violations.extend(coherence_violations(snapshot, strict_cookies))
 
     return VerificationReport(
@@ -176,19 +70,17 @@ def verify_snapshot(snapshot: NetworkSnapshot,
 def verify_testbed(tb: Any,
                    invariants: Tuple[str, ...] = ALL_INVARIANTS,
                    strict_cookies: bool = True,
-                   caches: Optional[VerifyCaches] = None,
                    ) -> VerificationReport:
     """Snapshot a :class:`Testbed` (ground-truth topology) and verify it."""
     return verify_snapshot(snapshot_testbed(tb), invariants=invariants,
-                           strict_cookies=strict_cookies, caches=caches)
+                           strict_cookies=strict_cookies)
 
 
 def verify_control_plane(manager: Any, controller: Any,
                          invariants: Tuple[str, ...] = ALL_INVARIANTS,
                          strict_cookies: bool = True,
-                         caches: Optional[VerifyCaches] = None,
                          ) -> VerificationReport:
     """Snapshot from the controller's vantage point and verify it."""
     return verify_snapshot(snapshot_control_plane(manager, controller),
                            invariants=invariants,
-                           strict_cookies=strict_cookies, caches=caches)
+                           strict_cookies=strict_cookies)

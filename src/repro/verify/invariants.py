@@ -1,10 +1,8 @@
 """The invariant checkers V1–V5 (docs/verification.md is the contract).
 
 Each checker is a pure function of the snapshot (plus prebuilt rule
-indices) returning :class:`Violation` lists. The incremental verifier
-caches these functions' results keyed on generation counters; the full
-checker calls them directly — both therefore produce identical violations
-by construction.
+indices) returning :class:`Violation` tuples; ``repro.verify.checker``
+calls them in check order and merges their findings into one report.
 
 Classification of service flows mirrors the controller's resync audit
 (``TransparentEdgeController._classify_service_flow``): a *first-hop*
@@ -28,7 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.cookies import KIND_SERVICE, cookie_kind
 from repro.netsim.addresses import IPv4, MAC
-from repro.openflow.actions import OutputAction, SetFieldAction
+from repro.openflow.actions import SetFieldAction
 
 from repro.verify.headerspace import HeaderClass
 from repro.verify.model import (
@@ -40,7 +38,7 @@ from repro.verify.model import (
     Violation,
 )
 from repro.verify.snapshot import NetworkSnapshot, RuleView, SwitchView
-from repro.verify.trace import RuleIndex, TraceResult, trace_class
+from repro.verify.trace import RuleIndex, trace_class
 
 
 def _set_fields(rule: RuleView) -> Dict[str, Any]:
@@ -71,7 +69,7 @@ def _rewrite_endpoint(rule: RuleView) -> Optional[Tuple[IPv4, int]]:
 def class_violations(snapshot: NetworkSnapshot,
                      indices: Dict[int, RuleIndex],
                      cls: HeaderClass,
-                     ) -> Tuple[Tuple[Violation, ...], TraceResult]:
+                     ) -> Tuple[Violation, ...]:
     """Trace one header class and judge its terminals (V1, V2)."""
     trace = trace_class(snapshot, indices, cls)
     violations: List[Violation] = []
@@ -87,13 +85,13 @@ def class_violations(snapshot: NetworkSnapshot,
     if svc is None or trace.has_loop():
         # Not service traffic (nothing promised), or already flagged as V2 —
         # the loop is the root cause, don't double-report it as a blackhole.
-        return tuple(violations), trace
+        return tuple(violations)
     for terminal in trace.terminals:
         violation = _judge_service_terminal(snapshot, svc.addr, terminal)
         if violation is not None:
             violations.append(Violation(V1_BLACKHOLE, terminal.dpid,
                                         subject, violation))
-    return tuple(violations), trace
+    return tuple(violations)
 
 
 def _judge_service_terminal(snapshot: NetworkSnapshot, service_addr: IPv4,

@@ -3,10 +3,8 @@
 The verifier never prints ad hoc — every finding is a :class:`Violation`
 carrying the invariant ID (``V1``..``V5``), the datapath it anchors to, a
 stable *subject* (the rule or header class concerned) and a human-readable
-detail. Reports order violations deterministically, so a full re-check and
-an incremental re-check of the same network state produce byte-identical
-output (tests/verify/test_verify_incremental.py holds this as an acceptance
-bar).
+detail. Reports order violations deterministically, so two checks of the
+same network state produce byte-identical output.
 """
 
 from __future__ import annotations

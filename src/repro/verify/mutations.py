@@ -70,8 +70,7 @@ def _with_rules(view: SwitchView, add: Tuple[RuleView, ...] = (),
     if swap is not None:
         rules = [swap[1] if r is swap[0] else r for r in rules]
     rules.extend(add)
-    return dataclasses.replace(view, rules=_table_order(rules),
-                               generation=view.generation + 1)
+    return dataclasses.replace(view, rules=_table_order(rules))
 
 
 def _next_seq(view: SwitchView) -> int:
@@ -114,7 +113,7 @@ def plant_loop(snapshot: NetworkSnapshot) -> NetworkSnapshot:
         view, add=(bounce_out,),
         swap=(rule, _replace_output(rule, _LOOP_PORT)))
     ghost = SwitchView(
-        dpid=_GHOST_DPID, name="ghost", generation=1,
+        dpid=_GHOST_DPID, name="ghost",
         rules=(RuleView(match=rewritten, priority=rule.priority, seq=1,
                         cookie=rule.cookie, flags=0,
                         actions=(OutputAction(1),)),),

@@ -52,7 +52,6 @@ class SwitchView:
 
     dpid: int
     name: str
-    generation: int
     #: rules in flow-table order (descending priority, ascending seq)
     rules: Tuple[RuleView, ...]
     #: descriptors of microflow-cache entries that a table mutation should
@@ -215,7 +214,6 @@ def _switch_view(switch: Any) -> SwitchView:
         for entry in table.entries)
     stale = _stale_cache(switch, table)
     return SwitchView(dpid=switch.dpid, name=switch.name,
-                      generation=table.generation,
                       rules=rules, stale_cache=stale)
 
 

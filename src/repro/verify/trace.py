@@ -60,7 +60,6 @@ class Terminal:
 @dataclass(frozen=True)
 class TraceResult:
     terminals: Tuple[Terminal, ...]
-    visited: Tuple[int, ...]  # dpids touched, sorted
     hops: int
 
     def has_loop(self) -> bool:
@@ -138,7 +137,6 @@ def trace_class(snapshot: NetworkSnapshot, indices: Dict[int, RuleIndex],
                 cls: HeaderClass, max_hops: int = MAX_HOPS) -> TraceResult:
     """Forward one header class to all its terminals."""
     terminals: List[Terminal] = []
-    visited: Dict[int, None] = {}
     seen: Dict[Tuple[int, FieldsKey], None] = {}
     # LIFO worklist, pushed in reverse so copies trace in emission order.
     work: List[Tuple[int, Dict[str, Any]]] = [(cls.dpid, cls.field_dict())]
@@ -150,7 +148,6 @@ def trace_class(snapshot: NetworkSnapshot, indices: Dict[int, RuleIndex],
             terminals.append(Terminal("loop", dpid, -1, key[1]))
             continue
         seen[key] = None
-        visited[dpid] = None
         hops += 1
         if hops > max_hops:
             terminals.append(Terminal("loop", dpid, -1, key[1]))
@@ -183,5 +180,4 @@ def trace_class(snapshot: NetworkSnapshot, indices: Dict[int, RuleIndex],
                 else:
                     terminals.append(Terminal("egress", dpid, out_port,
                                               canonical(out_fields)))
-    return TraceResult(terminals=tuple(terminals),
-                       visited=tuple(sorted(visited)), hops=hops)
+    return TraceResult(terminals=tuple(terminals), hops=hops)

@@ -217,21 +217,6 @@ def test_reinstalled_entry_is_live_again(sim):
     assert len(table) == 0
 
 
-def test_generation_bumps_on_every_mutation(sim):
-    table = FlowTable(sim)
-    g0 = table.generation
-    e = entry(priority=5, match=Match(tcp_dst=80), hard=2.0)
-    table.install(e)
-    g1 = table.generation
-    assert g1 > g0
-    sim.run()  # hard expiry mutates the table
-    g2 = table.generation
-    assert g2 > g1
-    table.install(entry(priority=1))
-    table.clear()
-    assert table.generation > g2
-
-
 def test_lookup_counters_still_track(sim):
     table = FlowTable(sim)
     table.install(entry(match=Match(tcp_dst=80)))

@@ -1,66 +1,51 @@
-"""Shadowed-rule / cache observability: FlowTable.shadowed_entries and the
-new OpenFlowSwitch.stats() counters, plus the live stale-cache detector."""
+"""V5 dead-rule verdicts on hand-built tables, the switch's cache
+counters, and the live stale-cache detector."""
 
-from repro.openflow import FlowEntry, FlowTable, Match, OutputAction
-from repro.simcore import Simulator
+from repro.openflow import Match, OutputAction
 from repro.verify import V5_SHADOWING, snapshot_testbed, verify_snapshot
+from repro.verify.invariants import shadowing_violations
+from repro.verify.snapshot import RuleView, SwitchView
 
 from tests.verify.conftest import make_parta_testbed
 
 
-def _table():
-    return FlowTable(Simulator())
+def _rule(match, priority, seq):
+    return RuleView(match=match, priority=priority, seq=seq, cookie=0,
+                    flags=0, actions=(OutputAction(1),))
+
+
+def _dead(*rules):
+    """Labels of the rules V5 reports dead, for ``rules`` in any order."""
+    ordered = tuple(sorted(rules, key=lambda r: (-r.priority, r.seq)))
+    view = SwitchView(dpid=1, name="s1", rules=ordered, stale_cache=())
+    return [v.subject for v in shadowing_violations(view)]
 
 
 class TestShadowedEntries:
     def test_broader_higher_priority_shadows(self):
-        table = _table()
-        narrow = FlowEntry(match=Match(ipv4_src="10.0.0.1",
-                                       ipv4_dst="10.0.0.2"),
-                           priority=20, actions=[OutputAction(1)])
-        broad = FlowEntry(match=Match(ipv4_dst="10.0.0.2"),
-                          priority=30, actions=[OutputAction(2)])
-        table.install(narrow)
-        table.install(broad)
-        assert table.shadowed_entries() == [narrow]
-        assert table.shadowed_count() == 1
+        narrow = _rule(Match(ipv4_src="10.0.0.1", ipv4_dst="10.0.0.2"), 20, 1)
+        broad = _rule(Match(ipv4_dst="10.0.0.2"), 30, 2)
+        assert _dead(narrow, broad) == [narrow.label()]
 
     def test_same_priority_earlier_seq_shadows(self):
-        table = _table()
-        first = FlowEntry(match=Match(ipv4_dst="10.0.0.2"),
-                          priority=20, actions=[OutputAction(1)])
-        second = FlowEntry(match=Match(ipv4_src="10.0.0.1",
-                                       ipv4_dst="10.0.0.2"),
-                           priority=20, actions=[OutputAction(2)])
-        table.install(first)
-        table.install(second)
-        assert table.shadowed_entries() == [second]
+        first = _rule(Match(ipv4_dst="10.0.0.2"), 20, 1)
+        second = _rule(Match(ipv4_src="10.0.0.1", ipv4_dst="10.0.0.2"), 20, 2)
+        assert _dead(first, second) == [second.label()]
 
     def test_disjoint_rules_do_not_shadow(self):
-        table = _table()
-        table.install(FlowEntry(match=Match(ipv4_dst="10.0.0.2"),
-                                priority=30, actions=[OutputAction(1)]))
-        table.install(FlowEntry(match=Match(ipv4_dst="10.0.0.3"),
-                                priority=20, actions=[OutputAction(2)]))
-        table.install(FlowEntry(match=Match(), priority=0,
-                                actions=[OutputAction(3)]))
-        assert table.shadowed_count() == 0
+        assert _dead(_rule(Match(ipv4_dst="10.0.0.2"), 30, 1),
+                     _rule(Match(ipv4_dst="10.0.0.3"), 20, 2),
+                     _rule(Match(), 0, 3)) == []
 
     def test_lower_priority_never_shadows(self):
-        table = _table()
-        table.install(FlowEntry(match=Match(), priority=0,
-                                actions=[OutputAction(1)]))
-        table.install(FlowEntry(match=Match(ipv4_dst="10.0.0.2"),
-                                priority=20, actions=[OutputAction(2)]))
-        assert table.shadowed_count() == 0
+        assert _dead(_rule(Match(), 0, 1),
+                     _rule(Match(ipv4_dst="10.0.0.2"), 20, 2)) == []
 
 
 class TestSwitchStats:
     def test_stats_exposes_verification_counters(self):
         tb, _svc = make_parta_testbed(rounds=2)
         stats = tb.switch.stats()
-        assert stats["shadowed_rules"] == 0
-        assert stats["table_generation"] == tb.switch.table.generation
         assert stats["microflow_entries"] == len(tb.switch._microflow)
         assert stats["microflow_entries"] > 0  # traffic warmed the cache
 
