@@ -399,7 +399,7 @@ class TransparentEdgeController(RyuApp):
         self._pending[key] = [(datapath, msg)]
         self._dispatch_procs[key] = self.spawn(
             self._dispatch_and_install(client, service, key),
-            name=f"edge-dispatch:{client}:{service.name}")
+            name=("edge-dispatch", client, service.name))
 
     def _dispatch_and_install(self, client: IPv4, service: EdgeService, key):
         try:

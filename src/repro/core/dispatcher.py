@@ -188,7 +188,7 @@ class Dispatcher:
     def dispatch(self, client: IPv4, service: EdgeService) -> "Process":
         """Run the full decision (a process yielding a DispatchResult)."""
         return self.sim.spawn(self._dispatch_proc(client, service),
-                              name=f"dispatch:{client}:{service.name}")
+                              name=("dispatch", client, service.name))
 
     def _dispatch_proc(self, client: IPv4, service: EdgeService):
         self.dispatches += 1

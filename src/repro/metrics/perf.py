@@ -1,7 +1,6 @@
 """Process-global hot-path performance counters.
 
-The substrate's hot paths (event loop, flow-table lookup, per-switch
-microflow cache) each keep *per-instance* counters for tests and stats
+The substrate's hot paths (event loop, flow-table lookup) each keep *per-instance* counters for tests and stats
 replies. This module aggregates the same increments into one
 process-global :class:`PerfCounters` so the experiment runner can report,
 per regenerated artifact, how much simulation work it cost — without
@@ -27,10 +26,9 @@ class PerfCounters:
     ``+``/``-`` compose snapshots: ``after - before`` is the cost of the
     work in between, and worker deltas sum into a run total with ``+``.
 
-    The ``microflow_evictions``/``microflow_flushes`` fields account for
-    the switch's microflow revalidation: surgical per-key evictions vs
-    wholesale flushes (see docs/performance.md, "Revalidation").
-    ``memo_revalidations``/``memo_invalidations`` have no writer: they
+    The ``microflow_*`` fields (and ``microflow_hit_rate``) and
+    ``memo_revalidations``/``memo_invalidations`` have no writer: the
+    switch keeps no microflow cache and the controller no memo, so they
     read 0 and stay only because the performance ledger reports them.
     """
 
@@ -62,7 +60,7 @@ class PerfCounters:
 
     @property
     def microflow_hit_rate(self) -> float:
-        """Fraction of datapath packets answered by a microflow cache."""
+        """Fraction of datapath packets answered by a microflow cache (0)."""
         packets = self.microflow_packets
         return self.microflow_hits / packets if packets else 0.0
 

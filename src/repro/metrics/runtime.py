@@ -23,7 +23,7 @@ class ArtifactTiming:
     """Runtime record for one regenerated artifact.
 
     ``perf`` carries the hot-path work the artifact cost — simulator events
-    executed, flow-table lookups/hits, microflow cache hit rate — summed
+    executed, flow-table lookups/hits — summed
     over the parent process and any pool workers, so a perf regression
     (e.g. a lookup suddenly missing the index) is visible on every run.
     """
@@ -84,7 +84,7 @@ class RunReport:
         table = Table(
             title="Runner summary — wall/CPU/hot-path work per artifact",
             columns=["part", "artifact", "wall_s", "cpu_s", "cells", "cache",
-                     "events", "lookups", "mf_hit_pct", "mf_evict", "mf_flush"],
+                     "events", "lookups"],
             time_columns={"wall_s", "cpu_s"},
         )
         for timing in self.timings:
@@ -93,10 +93,7 @@ class RunReport:
                       cells=timing.cells,
                       cache="hit" if timing.cache_hit else "miss",
                       events=timing.perf.events_executed,
-                      lookups=timing.perf.flow_lookups,
-                      mf_hit_pct=round(100.0 * timing.perf.microflow_hit_rate, 1),
-                      mf_evict=timing.perf.microflow_evictions,
-                      mf_flush=timing.perf.microflow_flushes)
+                      lookups=timing.perf.flow_lookups)
         cache_note = (f"cache: {self.cache_hits} hits / {self.cache_misses} misses "
                       f"/ {self.cache_stores} stores" if self.cache_enabled
                       else "cache: disabled")
@@ -105,10 +102,7 @@ class RunReport:
                       f"{self.total_wall_s:.1f}s wall / {self.total_cpu_s:.1f}s CPU; "
                       f"{self.total_cells} cells; {cache_note}; "
                       f"{perf.events_executed} sim events, "
-                      f"{perf.flow_lookups} table lookups, "
-                      f"microflow hit rate {100.0 * perf.microflow_hit_rate:.1f}% "
-                      f"({perf.microflow_evictions} surgical evictions, "
-                      f"{perf.microflow_flushes} flushes)")
+                      f"{perf.flow_lookups} table lookups")
         return table
 
     def render(self) -> str:

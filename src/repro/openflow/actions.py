@@ -12,14 +12,13 @@ materializes as a single fused
 output (apply-actions semantics: an output emits the frame as rewritten *so
 far*). A flow entry compiles its list at construction and the program dies
 with the entry; a raw list (PacketOut, tests) is compiled where it is
-executed. ``apply_actions_multi_reference`` interprets the list one
-``dataclasses.replace`` chain per field and is the differential-testing
-oracle (tests/openflow/test_rewrite_fused.py).
+executed. The tests hold an uncompiled interpreter, one
+``dataclasses.replace`` chain per field, as the differential-testing oracle
+(``tests/openflow/reference.py``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union, final
 
 from repro.netsim.addresses import MAC, IPv4
@@ -178,55 +177,3 @@ def apply_actions(
     if program.trailing is not None:
         frame = _apply_writes(frame, program.trailing)
     return frame, []
-
-
-# --------------------------------------------------------------------------
-# Reference implementation: the list interpreted action by action, one
-# dataclasses.replace chain per set-field. Kept verbatim as the
-# differential-testing oracle (tests/openflow/test_rewrite_fused.py).
-# --------------------------------------------------------------------------
-
-
-def _rewrite_reference(frame: EthernetFrame, field: str, value: Any) -> EthernetFrame:
-    if field == "eth_src":
-        return dataclasses.replace(frame, src=value)
-    if field == "eth_dst":
-        return dataclasses.replace(frame, dst=value)
-
-    packet = frame.ipv4
-    if packet is None:
-        # Set-field on a non-IP frame: no-op (matches OF behaviour where the
-        # prerequisite fields are absent).
-        return frame
-
-    if field == "ipv4_src":
-        return dataclasses.replace(frame, payload=dataclasses.replace(packet, src=value))
-    if field == "ipv4_dst":
-        return dataclasses.replace(frame, payload=dataclasses.replace(packet, dst=value))
-
-    l4 = packet.payload
-    if field in ("tcp_src", "tcp_dst") and isinstance(l4, TCPSegment):
-        kwargs = {"src_port": value} if field == "tcp_src" else {"dst_port": value}
-        new_l4 = dataclasses.replace(l4, **kwargs)
-    elif field in ("udp_src", "udp_dst") and isinstance(l4, UDPDatagram):
-        kwargs = {"src_port": value} if field == "udp_src" else {"dst_port": value}
-        new_l4 = dataclasses.replace(l4, **kwargs)
-    else:
-        return frame
-    return dataclasses.replace(frame, payload=dataclasses.replace(packet, payload=new_l4))
-
-
-def apply_actions_multi_reference(
-    frame: EthernetFrame, actions: Sequence[Action]
-) -> List[Tuple[EthernetFrame, int]]:
-    """``apply_actions_multi`` uncompiled: sequential per-field rewrites."""
-    outputs: List[Tuple[EthernetFrame, int]] = []
-    current = frame
-    for action in actions:
-        if isinstance(action, SetFieldAction):
-            current = _rewrite_reference(current, action.field, action.value)
-        elif isinstance(action, OutputAction):
-            outputs.append((current, action.port))
-        else:  # pragma: no cover
-            raise TypeError(f"unsupported action {action!r}")
-    return outputs

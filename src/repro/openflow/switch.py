@@ -6,14 +6,14 @@ the controller protocol (PacketIn/PacketOut/FlowMod/FlowRemoved/stats/echo/
 barrier). Per-packet datapath latency is a small constant (``forwarding
 -delay``), matching a kernel fast path; the slow path's cost is dominated by
 the control-channel round trip, which is modelled in
-:class:`~repro.openflow.channel.ControlChannel`.
+:class:`~repro.openflow.channel.ControlChannel`. Every frame costs one flow
+table lookup; no per-switch cache sits in front of the table.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from repro.metrics.perf import PERF
 from repro.netsim.device import Device
 from repro.netsim.packet import EthernetFrame
 from repro.openflow.actions import OutputAction, apply_actions_multi
@@ -48,16 +48,6 @@ from repro.openflow.messages import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore import Simulator
-
-#: cache-miss sentinel (``None`` is a legitimate cached answer: a known drop)
-_MISS: Any = object()
-
-#: canonical microflow cache key: the packet's field dict as an items tuple
-MicroflowKey = Tuple[Tuple[str, Any], ...]
-
-#: microflow cache capacity; on overflow the cache is flushed wholesale,
-#: OVS-style — simple, deterministic, and self-limiting
-MICROFLOW_CACHE_CAPACITY = 4096
 
 
 class OpenFlowSwitch(Device):
@@ -105,32 +95,6 @@ class OpenFlowSwitch(Device):
         self._liveness_miss_limit = 3
         self._echo_outstanding = 0
         self._liveness_handle: Optional[Any] = None
-        # ---- microflow cache: canonical packet field-tuple -> winning entry
-        # (or None for a known drop). The cache is revalidated per entry:
-        # the flow table reports every install/remove through the
-        # ``on_entry_*`` hooks and only the cached packets the mutated rule
-        # could match are evicted — an install consults the src/dst groups
-        # its exact conditions select, a removal evicts exactly the packets
-        # whose cached winner it was. See docs/performance.md
-        # ("Revalidation").
-        self._microflow: Dict[MicroflowKey, Optional[FlowEntry]] = {}
-        self.microflow_hits = 0
-        self.microflow_misses = 0
-        #: per-entry evictions vs. wholesale flushes (capacity overflow, or
-        #: an installed rule exact in neither src nor dst)
-        self.mf_evictions = 0
-        self.mf_flushes = 0
-        # Secondary indices over the cache: cache keys grouped by the
-        # packet's exact ipv4_src/ipv4_dst (mirroring the FlowTable's
-        # bucket keys, so a mutated rule's exact conditions select the
-        # candidate group directly), plus the reverse map from a winning
-        # entry to the keys it answers. Values are insertion-ordered
-        # key->None dicts so eviction order is deterministic.
-        self._mf_by_src: Dict[Any, Dict[MicroflowKey, None]] = {}
-        self._mf_by_dst: Dict[Any, Dict[MicroflowKey, None]] = {}
-        self._mf_by_entry: Dict[FlowEntry, Dict[MicroflowKey, None]] = {}
-        self.table.on_entry_installed = self._mf_rule_installed
-        self.table.on_entry_removed = self._mf_rule_removed
 
     # -------------------------------------------------------------- control
 
@@ -193,27 +157,7 @@ class OpenFlowSwitch(Device):
 
     def on_frame(self, in_port: int, frame: EthernetFrame) -> None:
         fields = extract_fields(frame, in_port)
-        # Microflow fast path: exact-packet memo of the table's answer.
-        # ``extract_fields`` builds the dict in one deterministic key order
-        # per packet shape, so the items tuple is a canonical cache key.
-        # The table hooks keep the cache valid incrementally, so a cached
-        # answer needs no check here.
-        key = tuple(fields.items())
-        entry = self._microflow.get(key, _MISS)
-        if entry is _MISS:
-            self.microflow_misses += 1
-            PERF.microflow_misses += 1
-            entry = self.table.lookup(fields)
-            if len(self._microflow) >= MICROFLOW_CACHE_CAPACITY:
-                self._mf_flush()
-            self._microflow[key] = entry
-            self._mf_by_src.setdefault(fields.get("ipv4_src"), {})[key] = None
-            self._mf_by_dst.setdefault(fields.get("ipv4_dst"), {})[key] = None
-            if entry is not None:
-                self._mf_by_entry.setdefault(entry, {})[key] = None
-        else:
-            self.microflow_hits += 1
-            PERF.microflow_hits += 1
+        entry = self.table.lookup(fields)
         if entry is None:
             # No table-miss entry installed: OF 1.3 default-drops.
             self.packets_dropped += 1
@@ -223,93 +167,6 @@ class OpenFlowSwitch(Device):
             return
         entry.touch(self.sim.now, frame.wire_bytes)
         self._execute(entry, frame, in_port, fields)
-
-    # ------------------------------------------- microflow cache revalidation
-
-    def _mf_flush(self) -> None:
-        """Drop every cached microflow (capacity overflow, catch-all rule)."""
-        if self._microflow:
-            self.mf_flushes += 1
-            PERF.microflow_flushes += 1
-        # The flush *is* this layer's revalidation action (capacity bound /
-        # a rule that can match any packet), not a generation-keyed shortcut.
-        self._microflow.clear()  # repro: noqa[REP009]
-        self._mf_by_src.clear()
-        self._mf_by_dst.clear()
-        self._mf_by_entry.clear()
-
-    def _mf_rule_installed(self, entry: FlowEntry) -> None:
-        """Table hook: a rule was added — evict the cached packets it matches.
-
-        A new rule can only change the cached answer for a packet it
-        matches (it may beat the cached winner, or turn a cached drop into
-        a hit), and its exact src/dst conditions — the table's bucket key —
-        select the candidate group directly. A rule exact in neither
-        dimension (e.g. the table-miss entry) can match any packet, so the
-        whole cache is flushed.
-        """
-        if not self._microflow:
-            return
-        src, dst = entry.bucket_key
-        group: Optional[Dict[MicroflowKey, None]]
-        if src is not None and dst is not None:
-            by_src = self._mf_by_src.get(src)
-            by_dst = self._mf_by_dst.get(dst)
-            if by_src is None or by_dst is None:
-                return
-            group = by_src if len(by_src) <= len(by_dst) else by_dst
-        elif src is not None:
-            group = self._mf_by_src.get(src)
-        elif dst is not None:
-            group = self._mf_by_dst.get(dst)
-        else:
-            self._mf_flush()
-            return
-        if not group:
-            return
-        match = entry.match
-        victims = [key for key in group if match.matches(dict(key))]
-        for key in victims:
-            self._mf_evict(key)
-
-    def _mf_rule_removed(self, entry: FlowEntry) -> None:
-        """Table hook: a rule was removed — evict the packets it answered.
-
-        A removal can only invalidate cached answers whose winner *is* the
-        removed entry: a cached drop stays a drop, and a different cached
-        winner (higher priority, or earlier at the same priority) still
-        wins without it.
-        """
-        keys = self._mf_by_entry.pop(entry, None)
-        if not keys:
-            return
-        for key in list(keys):
-            self._mf_evict(key)
-
-    def _mf_evict(self, key: MicroflowKey) -> None:
-        """Drop one cached microflow and unlink it from the indices."""
-        entry = self._microflow.pop(key, _MISS)
-        if entry is _MISS:
-            return
-        self.mf_evictions += 1
-        PERF.microflow_evictions += 1
-        fields = dict(key)
-        src_group = self._mf_by_src.get(fields.get("ipv4_src"))
-        if src_group is not None:
-            src_group.pop(key, None)
-            if not src_group:
-                del self._mf_by_src[fields.get("ipv4_src")]
-        dst_group = self._mf_by_dst.get(fields.get("ipv4_dst"))
-        if dst_group is not None:
-            dst_group.pop(key, None)
-            if not dst_group:
-                del self._mf_by_dst[fields.get("ipv4_dst")]
-        if entry is not None:
-            owned = self._mf_by_entry.get(entry)
-            if owned is not None:
-                owned.pop(key, None)
-                if not owned:
-                    del self._mf_by_entry[entry]
 
     def _execute(self, entry: FlowEntry, frame: EthernetFrame, in_port: int,
                  fields: Optional[FieldDict] = None) -> None:
@@ -457,16 +314,6 @@ class OpenFlowSwitch(Device):
 
     # ---------------------------------------------------------------- stats
 
-    @property
-    def microflow_packets(self) -> int:
-        return self.microflow_hits + self.microflow_misses
-
-    @property
-    def microflow_hit_rate(self) -> float:
-        """Fraction of datapath packets answered from the microflow cache."""
-        packets = self.microflow_packets
-        return self.microflow_hits / packets if packets else 0.0
-
     def stats(self) -> Dict[str, Any]:
         """Datapath diagnostics (counters only; flow stats live on the table)."""
         return {
@@ -474,15 +321,9 @@ class OpenFlowSwitch(Device):
             "packets_forwarded": self.packets_forwarded,
             "packets_dropped": self.packets_dropped,
             "buffer_overflows": self.buffer_overflows,
-            "microflow_hits": self.microflow_hits,
-            "microflow_misses": self.microflow_misses,
-            "microflow_hit_rate": self.microflow_hit_rate,
             "table_lookups": self.table.lookups,
             "table_hits": self.table.hits,
             "flows": len(self.table),
-            "microflow_entries": len(self._microflow),
-            "mf_evictions": self.mf_evictions,
-            "mf_flushes": self.mf_flushes,
             "controller_alive": self.controller_alive,
             "controller_outages_detected": self.controller_outages_detected,
         }

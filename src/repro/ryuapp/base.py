@@ -9,6 +9,7 @@ from repro.ryuapp.events import MAIN_DISPATCHER, EventBase
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ryuapp.manager import AppManager
     from repro.simcore import Process, Simulator
+    from repro.simcore.process import ProcessName
 
 _HANDLER_ATTR = "_ryu_handler_for"
 
@@ -51,7 +52,7 @@ class RyuApp:
 
     # ----------------------------------------------------------- utilities
 
-    def spawn(self, generator: Any, name: str = "") -> "Process":
+    def spawn(self, generator: Any, name: "ProcessName" = "") -> "Process":
         """Start a green-thread-style process (Ryu's ``hub.spawn``)."""
         return self.sim.spawn(generator, name=name or f"{self.name}.task")
 

@@ -382,8 +382,6 @@ def _fold_into_global_perf(counters: PerfCounters) -> None:
     perf.PERF.events_executed += counters.events_executed
     perf.PERF.flow_lookups += counters.flow_lookups
     perf.PERF.flow_hits += counters.flow_hits
-    perf.PERF.microflow_hits += counters.microflow_hits
-    perf.PERF.microflow_misses += counters.microflow_misses
 
 
 # ---------------------------------------------------------------------------

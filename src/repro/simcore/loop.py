@@ -17,11 +17,14 @@ their timeout on every matched packet).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.metrics.perf import PERF
 from repro.simcore.errors import DeadlockError, ScheduleInPastError, SimulatorReentryError
 from repro.simcore.trace import TraceLog
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.simcore.process import Process, ProcessName, Timeout
 
 
 class EventHandle(list[Any]):
@@ -219,7 +222,7 @@ class Simulator:
 
     # -------------------------------------------------------------- processes
 
-    def spawn(self, generator: Iterator[Any], name: str = "") -> "Process":
+    def spawn(self, generator: Iterator[Any], name: ProcessName = "") -> Process:
         """Start a generator-based process on this loop.
 
         The generator may ``yield`` any :class:`~repro.simcore.process.Waitable`

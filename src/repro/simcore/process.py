@@ -18,12 +18,17 @@ An object is waitable if it provides::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Protocol, Tuple, Union, runtime_checkable
 
 from repro.simcore.errors import ProcessKilled, ProcessStateError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.loop import Simulator
+
+#: a process name: a string, or a tuple of parts that reads as the parts'
+#: ``str`` joined by ``":"`` — formatted on first read, so a per-request
+#: process whose name nobody reads never formats it
+ProcessName = Union[str, Tuple[Any, ...]]
 
 
 @runtime_checkable
@@ -84,11 +89,11 @@ class Process:
     value (exceptions propagate to the joiner).
     """
 
-    __slots__ = ("sim", "name", "_gen", "_done", "_result", "_exception", "_joiners", "_waiting_on")
+    __slots__ = ("sim", "_name", "_gen", "_done", "_result", "_exception", "_joiners", "_waiting_on")
 
-    def __init__(self, sim: "Simulator", generator: Iterator[Any], name: str = "") -> None:
+    def __init__(self, sim: "Simulator", generator: Iterator[Any], name: ProcessName = "") -> None:
         self.sim = sim
-        self.name = name or getattr(generator, "__name__", "process")
+        self._name = name or getattr(generator, "__name__", "process")
         self._gen = generator
         self._done = False
         self._result: Any = None
@@ -102,6 +107,12 @@ class Process:
         sim.call_soon(self._step_send, None)
 
     # ----------------------------------------------------------- state
+
+    @property
+    def name(self) -> str:
+        if isinstance(self._name, tuple):
+            self._name = ":".join(map(str, self._name))
+        return self._name
 
     @property
     def alive(self) -> bool:

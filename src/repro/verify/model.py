@@ -30,8 +30,7 @@ INVARIANTS: Dict[str, str] = {
                       "identity on headers"),
     V4_COHERENCE: ("controller/switch coherence: service-flow cookies map to "
                    "live controller bookkeeping and vice versa"),
-    V5_SHADOWING: ("no shadowed/dead rules, no microflow-cache entry that "
-                   "survived a table mutation"),
+    V5_SHADOWING: "no shadowed/dead rules",
 }
 
 #: the default checker scope

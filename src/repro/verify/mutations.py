@@ -116,8 +116,7 @@ def plant_loop(snapshot: NetworkSnapshot) -> NetworkSnapshot:
         dpid=_GHOST_DPID, name="ghost",
         rules=(RuleView(match=rewritten, priority=rule.priority, seq=1,
                         cookie=rule.cookie, flags=0,
-                        actions=(OutputAction(1),)),),
-        stale_cache=())
+                        actions=(OutputAction(1),)),))
     adjacency = snapshot.adjacency + (
         LinkView(dpid=view.dpid, port_no=_LOOP_PORT,
                  peer_dpid=_GHOST_DPID, peer_port=1),
@@ -184,14 +183,6 @@ def shadow_redirect(snapshot: NetworkSnapshot) -> NetworkSnapshot:
     return _swap_switch(snapshot, _with_rules(view, add=(shadow,)))
 
 
-def plant_stale_cache_entry(snapshot: NetworkSnapshot) -> NetworkSnapshot:
-    """Pretend a microflow-cache entry survived an invalidation → V5."""
-    view = snapshot.switches[0]
-    patched = dataclasses.replace(
-        view, stale_cache=view.stale_cache + ("planted:ipv4-flow->p20",))
-    return _swap_switch(snapshot, patched)
-
-
 #: name -> (mutator, the one invariant ID it must trip)
 PLANTED: Tuple[Tuple[str, Callable[[NetworkSnapshot], NetworkSnapshot], str], ...] = (
     ("blackhole", plant_blackhole, V1_BLACKHOLE),
@@ -200,5 +191,4 @@ PLANTED: Tuple[Tuple[str, Callable[[NetworkSnapshot], NetworkSnapshot], str], ..
     ("leaky-reverse-rewrite", corrupt_reverse_rewrite, V3_TRANSPARENCY),
     ("stale-cookie", plant_stale_cookie, V4_COHERENCE),
     ("shadowed-redirect", shadow_redirect, V5_SHADOWING),
-    ("stale-cache-entry", plant_stale_cache_entry, V5_SHADOWING),
 )

@@ -227,7 +227,7 @@ LIB_PATH = "src/repro/core/controller.py"
 def test_rep009_flags_wholesale_memo_clears():
     assert codes_at("self._service_cache.clear()\n", LIB_PATH) == ["REP009"]
     assert codes_at("self._plan_cache.clear()\n", LIB_PATH) == ["REP009"]
-    assert codes_at("self._microflow.clear()\n", LIB_PATH) == ["REP009"]
+    assert codes_at("self.microflow.clear()\n", LIB_PATH) == ["REP009"]
     assert codes_at("self._service_memo.clear()\n", LIB_PATH) == ["REP009"]
     assert codes_at("memo.clear()\n", LIB_PATH) == ["REP009"]
 

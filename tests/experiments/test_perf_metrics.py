@@ -1,7 +1,7 @@
 """Hot-path perf counters: process-global accounting and runner wiring.
 
-``repro.metrics.perf`` aggregates simulator events, flow-table lookups, and
-microflow cache hits process-wide; the pool ships worker deltas back with
+``repro.metrics.perf`` aggregates simulator events and flow-table lookups
+process-wide; the pool ships worker deltas back with
 cell results; the runner attaches a per-artifact delta to its summary.
 """
 
@@ -117,9 +117,8 @@ class TestRunReportColumns:
         report = RunReport(jobs=1)
         report.add(ArtifactTiming(
             part="a", name="A-test", wall_s=0.1, cpu_s=0.1, cells=2,
-            perf=PerfCounters(events_executed=123, flow_lookups=7,
-                              microflow_hits=3, microflow_misses=1)))
+            perf=PerfCounters(events_executed=123, flow_lookups=7)))
         rendered = report.render()
         assert "events" in rendered and "123" in rendered
-        assert "mf_hit_pct" in rendered and "75" in rendered
+        assert "lookups" in rendered and "7 table lookups" in rendered
         assert report.total_perf.flow_lookups == 7

@@ -3,7 +3,8 @@
 ``apply_actions_multi`` / ``apply_actions`` execute an action list through
 its compiled :class:`~repro.openflow.actions.ActionProgram` (one fused
 ``rewrite_headers`` copy per output); ``apply_actions_multi_reference``
-interprets the same list action by action with ``dataclasses.replace``.
+(``tests/openflow/reference.py``) interprets the same list action by action
+with ``dataclasses.replace``.
 Seeded random lists — interleaved outputs, trailing set-fields, repeated
 writes to one field, fields whose prerequisite layer the frame lacks, the
 empty list — must produce the same frames on the same ports, compared field
@@ -37,9 +38,10 @@ from repro.openflow.actions import (
     SetFieldAction,
     apply_actions,
     apply_actions_multi,
-    apply_actions_multi_reference,
 )
 from repro.openflow.constants import REWRITABLE_FIELDS
+
+from tests.openflow.reference import apply_actions_multi_reference
 
 SEEDS = range(40)
 LISTS_PER_SEED = 25

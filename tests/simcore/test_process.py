@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.netsim.addresses import IPv4
 from repro.simcore import AllOf, AnyOf, ProcessKilled, Simulator
+from repro.simcore.trace import TraceLog
 
 
 @pytest.fixture
@@ -134,6 +136,23 @@ def test_kill_injects_process_killed(sim):
     sim.run()
     assert cleaned == [True]
     assert isinstance(p.exception, ProcessKilled)
+
+
+def test_tuple_name_reads_as_its_parts_joined(sim):
+    """A name given as parts reads exactly as the f-string it replaces, in
+    the spawn trace and in the kill message."""
+    traced = Simulator(trace=TraceLog(enabled=True))
+    client = IPv4("10.0.0.7")
+
+    def proc():
+        yield traced.timeout(100.0)
+
+    p = traced.spawn(proc(), name=("edge-dispatch", client, "svc"))
+    traced.schedule(1.0, p.kill)
+    traced.run()
+    assert p.name == f"edge-dispatch:{client}:svc"
+    assert str(p.exception) == f"process 'edge-dispatch:{client}:svc' killed"
+    assert f"name=edge-dispatch:{client}:svc" in traced.trace.dump()
 
 
 def test_kill_finished_process_is_noop(sim):
