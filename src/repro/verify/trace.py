@@ -4,7 +4,7 @@ The tracer mirrors the production data path exactly:
 
 * rule selection replicates ``FlowTable.lookup`` — highest priority wins,
   FIFO (lowest install ``seq``) among equals, with the same
-  (ipv4_src, ipv4_dst) bucket pruning so 100k-rule tables stay cheap;
+  (ipv4_src, ipv4_dst) index so 100k-rule tables stay cheap;
 * action execution replicates ``apply_actions_multi`` — ``SetFieldAction``s
   accumulate and each ``OutputAction`` emits the header *as rewritten so
   far* (trailing set-fields are discarded), with layer checks (a tcp field
@@ -32,6 +32,7 @@ from repro.openflow.constants import (
     OFPP_FLOOD,
     OFPP_IN_PORT,
 )
+from repro.openflow.flowtable import BucketKey, bucket_key
 
 from repro.verify.headerspace import FieldsKey, HeaderClass, canonical
 from repro.verify.snapshot import NetworkSnapshot, RuleView, SwitchView
@@ -67,44 +68,31 @@ class TraceResult:
 
 
 class RuleIndex:
-    """Bucket-pruned lookup over a :class:`SwitchView`, mirroring
-    ``FlowTable.lookup`` semantics (priority desc, seq asc, 4-key probe)."""
+    """``FlowTable.lookup`` over a :class:`SwitchView`: the same index (one
+    list per ``bucket_key``, in table order) walked with the same stop rule."""
 
     def __init__(self, view: SwitchView):
         self.view = view
-        buckets: Dict[int, Dict[Tuple[Any, Any], List[RuleView]]] = {}
-        priorities: List[int] = []
-        for rule in view.rules:  # table order: priority desc, seq asc
-            per_priority = buckets.get(rule.priority)
-            if per_priority is None:
-                per_priority = buckets[rule.priority] = {}
-                priorities.append(rule.priority)
-            key = (rule.match.exact_value("ipv4_src"),
-                   rule.match.exact_value("ipv4_dst"))
-            per_priority.setdefault(key, []).append(rule)
-        self._buckets = buckets
-        self._priorities = priorities
+        index: Dict[BucketKey, List[RuleView]] = {}
+        for rule in view.rules:  # table order: (-priority, seq)
+            index.setdefault(bucket_key(rule.match), []).append(rule)
+        self._index = index
 
     def lookup(self, fields: Dict[str, Any]) -> Optional[RuleView]:
+        index = self._index
         src = fields.get("ipv4_src")
         dst = fields.get("ipv4_dst")
-        probes = ((src, dst), (src, None), (None, dst), (None, None))
-        for priority in self._priorities:
-            per_priority = self._buckets[priority]
-            best: Optional[RuleView] = None
-            for key in probes:
-                candidates = per_priority.get(key)
-                if not candidates:
-                    continue
-                for rule in candidates:
-                    if best is not None and rule.seq >= best.seq:
-                        break  # candidates are seq-ascending
-                    if rule.match.matches(fields):
-                        best = rule
-                        break
-            if best is not None:
-                return best
-        return None
+        best: Optional[RuleView] = None
+        for key in ((src, dst), (src, None), (None, dst), (None, None)):
+            if key not in index:
+                continue
+            for rule in index[key]:
+                if best is not None and rule.sort_key >= best.sort_key:
+                    break
+                if rule.match.matches(fields):
+                    best = rule
+                    break
+        return best
 
 
 def build_indices(snapshot: NetworkSnapshot) -> Dict[int, RuleIndex]:

@@ -3,7 +3,7 @@
 ``Match``, ``SetFieldAction`` and the control channel's delay were rewritten
 to make fewer calls. Each test here restates the formula the code used
 before and checks the new code gives the same value: the match hash every
-flow table and microflow key depends on, the coerced set-field value, and a
+flow table index depends on, the coerced set-field value, and a
 disarmed channel's delivery delay to the last bit.
 """
 

@@ -106,6 +106,13 @@ class TestMatch:
         assert a == b and hash(a) == hash(b)
         assert a != Match(tcp_dst=81, ipv4_dst="1.2.3.4")
 
+    def test_conditions_and_repr_keep_the_order_given(self):
+        m = Match(tcp_dst=80, ipv4_src=("10.0.0.0", 8), eth_type=ETH_TYPE_IP)
+        assert list(m.conditions) == ["tcp_dst", "eth_type", "ipv4_src"]
+        assert repr(m) == "Match(tcp_dst=80, eth_type=2048, ipv4_src=10.0.0.0/8)"
+        assert m == Match(ipv4_src=("10.0.0.0", 8), eth_type=ETH_TYPE_IP, tcp_dst=80)
+        assert m.exact_value("tcp_dst") == 80 and m.exact_value("ipv4_src") is None
+
     def test_covers_wildcard_covers_all(self):
         assert Match().covers(Match(tcp_dst=80))
         assert not Match(tcp_dst=80).covers(Match())
