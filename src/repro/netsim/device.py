@@ -58,7 +58,8 @@ class Device:
         link.transmit(self, frame)
 
     def deliver(self, port_no: int, frame: EthernetFrame) -> None:
-        """Called by the link when a frame arrives on ``port_no``."""
+        """Inject a frame arriving on ``port_no`` (``Link._deliver`` does
+        the same inline)."""
         self.rx_frames += 1
         self.on_frame(port_no, frame)
 

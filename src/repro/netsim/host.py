@@ -343,11 +343,8 @@ class Host(Device):
         Default-gateway IP for off-subnet destinations. The transparent-edge
         fabric gives every host the controller's virtual-router IP here.
     prefix_len:
-        Subnet prefix; on-subnet destinations are ARPed directly.
+        Subnet prefix, 0-32; on-subnet destinations are ARPed directly.
     """
-
-    #: frame ids are global so traces can correlate across hosts
-    _frame_counter = 0
 
     def __init__(
         self,
@@ -362,7 +359,7 @@ class Host(Device):
         self.ip = ip_addr
         self.mac = mac_addr
         self.gateway = gateway
-        self.prefix_len = prefix_len
+        self.prefix_len = prefix_len  # validated, and the netmask computed
         self.arp_cache: Dict[IPv4, MAC] = {}
         self._arp_pending: Dict[IPv4, list] = {}  # next_hop -> [IPv4Packet]
         self._connections: Dict[ConnKey, Connection] = {}
@@ -384,6 +381,17 @@ class Host(Device):
     def attach_link(self, port_no: int, link: "Link") -> None:
         super().attach_link(port_no, link)
         self._uplink_port = min(self.links)
+
+    @property
+    def prefix_len(self) -> int:
+        return self._prefix_len
+
+    @prefix_len.setter
+    def prefix_len(self, prefix_len: int) -> None:
+        if not 0 <= prefix_len <= 32:
+            raise ValueError(f"{self.name}: bad prefix length {prefix_len}")
+        self._prefix_len = prefix_len
+        self._netmask = ((1 << prefix_len) - 1) << (32 - prefix_len)
 
     @property
     def uplink_port(self) -> int:
@@ -446,15 +454,12 @@ class Host(Device):
 
     # ---------------------------------------------------------------- IP tx
 
-    def _next_hop(self, dst: IPv4) -> IPv4:
-        if dst.in_subnet(self.ip, self.prefix_len) or self.gateway is None:
-            return dst
-        return self.gateway
-
     def send_ip(self, dst: IPv4, proto: int, payload) -> None:
         """Send an IPv4 packet, resolving the next hop's MAC via ARP."""
         packet = IPv4Packet(src=self.ip, dst=dst, proto=proto, payload=payload)
-        next_hop = self._next_hop(dst)
+        next_hop = self.gateway
+        if next_hop is None or not (dst.value ^ self.ip.value) & self._netmask:
+            next_hop = dst  # on-link
         nh_mac = self.arp_cache.get(next_hop)
         if nh_mac is not None:
             self._tx_ip(nh_mac, packet)
@@ -468,12 +473,12 @@ class Host(Device):
         self.sim.schedule(ARP_RETRY_INTERVAL, self._arp_retry, next_hop, 1)
 
     def _tx_ip(self, dst_mac: MAC, packet: IPv4Packet) -> None:
-        Host._frame_counter += 1
-        frame = EthernetFrame(
-            src=self.mac, dst=dst_mac, ethertype=ETH_TYPE_IP,
-            payload=packet, frame_id=Host._frame_counter,
-        )
-        self.transmit(self.uplink_port, frame)
+        frame = EthernetFrame(src=self.mac, dst=dst_mac, ethertype=ETH_TYPE_IP,
+                              payload=packet)
+        port = self._uplink_port
+        if port is None:
+            raise NetworkStateError(f"{self.name}: no link attached")
+        self.transmit(port, frame)
 
     def send_udp(self, dst: IPv4, dst_port: int, payload: Any, size_bytes: int = 0,
                  src_port: Optional[int] = None) -> None:
@@ -499,14 +504,13 @@ class Host(Device):
 
     def _send_arp_request(self, target_ip: IPv4) -> None:
         self.stats["arp_requests"] += 1
-        Host._frame_counter += 1
         arp = ArpPacket(
             op=ArpOp.REQUEST,
             sender_mac=self.mac, sender_ip=self.ip,
             target_mac=MAC(0), target_ip=target_ip,
         )
         frame = EthernetFrame(src=self.mac, dst=BROADCAST_MAC, ethertype=ETH_TYPE_ARP,
-                              payload=arp, frame_id=Host._frame_counter)
+                              payload=arp)
         self.transmit(self.uplink_port, frame)
 
     def _on_arp(self, arp: ArpPacket) -> None:
@@ -517,14 +521,13 @@ class Host(Device):
             for packet in pending:
                 self._tx_ip(arp.sender_mac, packet)
         if arp.op == ArpOp.REQUEST and arp.target_ip == self.ip:
-            Host._frame_counter += 1
             reply = ArpPacket(
                 op=ArpOp.REPLY,
                 sender_mac=self.mac, sender_ip=self.ip,
                 target_mac=arp.sender_mac, target_ip=arp.sender_ip,
             )
             frame = EthernetFrame(src=self.mac, dst=arp.sender_mac, ethertype=ETH_TYPE_ARP,
-                                  payload=reply, frame_id=Host._frame_counter)
+                                  payload=reply)
             self.transmit(self.uplink_port, frame)
 
     # ------------------------------------------------------------------ rx

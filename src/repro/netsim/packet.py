@@ -7,8 +7,9 @@ place — a frame in flight may be referenced from several queues (switch
 buffer, controller, trace log).
 
 Each layer exposes a ``rewrite()`` helper that produces a copy with selected
-fields changed while bypassing ``__init__``/``dataclasses.replace`` —
-``object.__new__`` plus direct slot stores. On the forwarding hot path a
+header fields changed while bypassing ``__init__``/``dataclasses.replace`` —
+``object.__new__`` plus direct slot stores (a frame given a new payload goes
+through ``__init__``, which sizes it). On the forwarding hot path a
 multi-field NAT rewrite then costs one new object per *mutated* layer
 instead of a full ``replace()`` reconstruction per field.
 
@@ -222,41 +223,59 @@ class ArpPacket:
 
 @dataclass(frozen=True, slots=True)
 class EthernetFrame:
-    """The layer-2 frame that actually traverses links."""
+    """The layer-2 frame that actually traverses links.
+
+    ``wire_bytes`` is computed once, when the frame is built: every link hop
+    and every switch touch reads it as a plain attribute. The hand-written
+    ``__init__`` stores it without a ``__post_init__`` call, header-only
+    rewrites copy it, and everything that builds a frame from its fields —
+    a payload-replacing :meth:`rewrite`, ``dataclasses.replace``, ``copy``
+    and pickle (via ``__reduce__``) — recomputes it.
+    """
 
     src: MAC
     dst: MAC
     ethertype: int
     payload: Union[ArpPacket, IPv4Packet]
-    #: Monotonic id assigned by the sender's stack; used for tracing and for
-    #: OpenFlow packet buffering (buffer_id derivation).
-    frame_id: int = field(default=0, compare=False)
+    wire_bytes: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def wire_bytes(self) -> int:
-        # Every hop sizes the frame, and nearly every frame is TCP over
-        # IPv4: answer that shape here instead of one call per layer.
-        packet = self.payload
-        if type(packet) is IPv4Packet:
-            segment = packet.payload
-            if type(segment) is TCPSegment:
-                return _ETH_IP_TCP_HEADER_BYTES + segment.payload_bytes
-        return ETH_HEADER_BYTES + packet.wire_bytes
+    def __init__(self, src: MAC, dst: MAC, ethertype: int,
+                 payload: Union[ArpPacket, IPv4Packet]) -> None:
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "ethertype", ethertype)
+        _set(self, "payload", payload)
+        # Nearly every frame is TCP over IPv4: size that shape inline
+        # instead of one call per layer.
+        if type(payload) is IPv4Packet and type(payload.payload) is TCPSegment:
+            _set(self, "wire_bytes", _ETH_IP_TCP_HEADER_BYTES + payload.payload.payload_bytes)
+        else:
+            _set(self, "wire_bytes", ETH_HEADER_BYTES + payload.wire_bytes)
+
+    def __reduce__(self) -> tuple:
+        return (EthernetFrame, (self.src, self.dst, self.ethertype, self.payload))
 
     def rewrite(self, src: Optional[MAC] = None, dst: Optional[MAC] = None,
                 payload: Optional[Union[ArpPacket, IPv4Packet]] = None,
                 ) -> "EthernetFrame":
-        """Copy with the given header field(s)/payload changed.
+        """Copy with the given header field(s)/payload changed; a new
+        payload is sized anew."""
+        if payload is not None:
+            return EthernetFrame(self.src if src is None else src,
+                                 self.dst if dst is None else dst,
+                                 self.ethertype, payload)
+        return self._copy(src, dst, self.payload)
 
-        ``frame_id`` is preserved — the rewritten frame is the *same* packet
-        in flight, not a newly transmitted one.
-        """
+    def _copy(self, src: Optional[MAC], dst: Optional[MAC],
+              payload: Union[ArpPacket, IPv4Packet]) -> "EthernetFrame":
+        # Header-only: ``payload`` is this frame's or a header rewrite of
+        # it, so the stored size carries over.
         new = _new(EthernetFrame)
         _set(new, "src", self.src if src is None else src)
         _set(new, "dst", self.dst if dst is None else dst)
         _set(new, "ethertype", self.ethertype)
-        _set(new, "payload", self.payload if payload is None else payload)
-        _set(new, "frame_id", self.frame_id)
+        _set(new, "payload", payload)
+        _set(new, "wire_bytes", self.wire_bytes)
         return new
 
     def rewrite_headers(self,
@@ -285,7 +304,7 @@ class EthernetFrame:
                 new_payload = payload.rewrite(ipv4_src, ipv4_dst, new_l4)
         if eth_src is None and eth_dst is None and new_payload is None:
             return self
-        return self.rewrite(eth_src, eth_dst, new_payload)
+        return self._copy(eth_src, eth_dst, payload if new_payload is None else new_payload)
 
     # ------------------------------------------------------- layer accessors
 

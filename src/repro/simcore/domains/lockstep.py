@@ -18,10 +18,6 @@ Determinism is by construction, not by luck:
 * envelopes exchanged at a barrier are merged in the total order
   ``(arrival_at, src_domain, seq)`` before being routed, so injection
   order per domain is independent of worker count/completion order;
-* each domain's slice of the process-global ``Host`` frame counter is
-  saved/restored around every build/advance, so frame ids are
-  domain-local whether domains share a process (serial executor) or
-  not (process executor);
 * per-domain :class:`~repro.metrics.perf.PerfCounters` are measured as
   snapshot deltas around each domain's own work, and merged — like
   traces and results — in domain-id order.
@@ -38,11 +34,10 @@ import heapq
 import multiprocessing
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Protocol, Tuple
+from typing import Any, Dict, Iterator, List, Protocol, Tuple
 
 from repro.metrics import perf
 from repro.metrics.perf import PerfCounters
-from repro.netsim.host import Host
 from repro.simcore.domains.envelope import (
     Envelope,
     decode_envelopes,
@@ -136,17 +131,9 @@ class DomainRuntime:
         from repro.simcore.domains import created_simulators
 
         self.spec = spec
-        # Build with a fresh, domain-local frame-counter slice so frame
-        # ids never depend on which other domains share this process.
-        saved = Host._frame_counter
-        Host._frame_counter = 0
         created_simulators()  # discard loops created outside any domain
         before = perf.snapshot()
-        try:
-            self.model = spec.build(n_domains)
-        finally:
-            self._frame_counter = Host._frame_counter
-            Host._frame_counter = saved
+        self.model = spec.build(n_domains)
         self.perf = perf.delta(before)
         #: helper loops the builder created via the domain-aware factory
         #: (beyond the model's own) — their events count toward this domain
@@ -168,8 +155,6 @@ class DomainRuntime:
             raise LockstepProtocolError(
                 f"domain {self.spec.domain_id} has no gateway but received "
                 f"{len(inbound)} envelope(s)")
-        saved = Host._frame_counter
-        Host._frame_counter = self._frame_counter
         before = perf.snapshot()
         try:
             if gateway is not None:
@@ -177,8 +162,6 @@ class DomainRuntime:
                     gateway.inject(envelope)
             self.model.sim.run(until=epoch_end)
         finally:
-            self._frame_counter = Host._frame_counter
-            Host._frame_counter = saved
             self.perf = self.perf + perf.delta(before)
         outbound = gateway.drain() if gateway is not None else []
         self.envelopes_in += len(inbound)

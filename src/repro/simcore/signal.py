@@ -38,6 +38,8 @@ class Signal:
 
     @property
     def done(self) -> bool:
+        # set/fail/set_if_unset test the two slots inline: a property read
+        # is one more call per completion.
         return self._value is not _UNSET or self._exception is not None
 
     @property
@@ -63,14 +65,14 @@ class Signal:
 
     def set(self, value: Any = None) -> None:
         """Complete the signal successfully with ``value``."""
-        if self.done:
+        if self._value is not _UNSET or self._exception is not None:
             raise SignalStateError(f"Signal {self.name!r} already completed")
         self._value = value
         self._fire()
 
     def fail(self, exc: BaseException) -> None:
         """Complete the signal with an exception; waiters will re-raise it."""
-        if self.done:
+        if self._value is not _UNSET or self._exception is not None:
             raise SignalStateError(f"Signal {self.name!r} already completed")
         self._exception = exc
         self._fire()
@@ -78,7 +80,7 @@ class Signal:
     def set_if_unset(self, value: Any = None) -> bool:
         """Complete with ``value`` unless already done; returns whether it
         completed now. Useful for races (e.g. first-of-N readiness probes)."""
-        if self.done:
+        if self._value is not _UNSET or self._exception is not None:
             return False
         self.set(value)
         return True

@@ -26,7 +26,6 @@ class RequestTiming:
     """One measured request (curl-compatible fields)."""
 
     client: str
-    url: str
     t_start: float
     #: TCP connect duration (curl's time_connect)
     time_connect: float
@@ -67,12 +66,11 @@ class TimedHTTPClient:
 
         def proc():
             t0 = self.sim.now
-            url = f"{addr}:{port}"
             try:
                 conn = yield self.host.connect(addr, port)
             except Exception as exc:  # noqa: BLE001 - refused / timeout
                 return RequestTiming(
-                    client=self.host.name, url=url, t_start=t0,
+                    client=self.host.name, t_start=t0,
                     time_connect=self.sim.now - t0,
                     time_total=self.sim.now - t0,
                     status=0, error=type(exc).__name__)
@@ -82,7 +80,7 @@ class TimedHTTPClient:
             if close:
                 conn.close()
             return RequestTiming(
-                client=self.host.name, url=url, t_start=t0,
+                client=self.host.name, t_start=t0,
                 time_connect=t_connect, time_total=t_total,
                 status=getattr(response, "status", 200), response=response)
 

@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.metrics.stats import StreamingStats
 from repro.netsim.addresses import IPv4, MAC, ip
 from repro.netsim.device import Device
-from repro.netsim.host import Host
 from repro.netsim.packet import (
     ETH_TYPE_IP,
     IP_PROTO_TCP,
@@ -144,8 +143,6 @@ class ClientBank(Device):
         self.client_base = client_base
         self.service_addr = service_addr
         self.service_port = service_port
-        #: every conversation's ``RequestTiming.url``, formatted once
-        self._url = f"{service_addr}:{service_port}"
         self.vgw_mac = vgw_mac
         self.window = min(window, n_clients)
         self.local_port = local_port
@@ -209,7 +206,7 @@ class ClientBank(Device):
         conv.watchdog.cancel()
         elapsed = self.sim.now - conv.t0
         self.result.record(RequestTiming(
-            client=self.name, url=self._url,
+            client=self.name,
             t_start=conv.t0, time_connect=conv.t_connect,
             time_total=elapsed, status=0, error=error))
         self._launch_next()
@@ -230,10 +227,8 @@ class ClientBank(Device):
                          last_fragment=True)
         packet = IPv4Packet(src=conv.ip, dst=self.service_addr,
                             proto=IP_PROTO_TCP, payload=seg)
-        Host._frame_counter += 1
         frame = EthernetFrame(src=conv.mac, dst=self.vgw_mac,
-                              ethertype=ETH_TYPE_IP, payload=packet,
-                              frame_id=Host._frame_counter)
+                              ethertype=ETH_TYPE_IP, payload=packet)
         self.transmit(self.uplink_port, frame)
 
     def on_frame(self, port_no: int, frame: EthernetFrame) -> None:
@@ -271,7 +266,7 @@ class ClientBank(Device):
                 conv.rcv_nxt += seg.payload_bytes
                 if seg.last_fragment:
                     timing = RequestTiming(
-                        client=self.name, url=self._url,
+                        client=self.name,
                         t_start=conv.t0, time_connect=conv.t_connect,
                         time_total=self.sim.now - conv.t0,
                         status=getattr(seg.payload, "status", 200))

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.registry import ServiceRegistry
 from repro.experiments.topologies import build_testbed
-from repro.netsim import ETH_TYPE_IP, EthernetFrame, IPv4Packet, TCPSegment, ip, mac
+from repro.netsim import ETH_TYPE_IP, EthernetFrame, IPv4Packet, Network, TCPSegment, ip, mac
 from repro.netsim.addresses import IPv4
 from repro.netsim.packet import IP_PROTO_TCP, TCPFlags
 from repro.openflow import FlowEntry, FlowTable, Match, OutputAction, extract_fields
@@ -200,6 +200,46 @@ class TestSwitchFastPath:
         assert _one(per_size) <= 16
 
 
+def _primed_pair():
+    """Host a -> switch -> host b over two links, the ARP cache and the
+    forwarding rule already in place: ``(sim, a, b, switch)``."""
+    net = Network(seed=0)
+    a = net.add_host("a", prefix_len=24)
+    b = net.add_host("b", prefix_len=24)
+    switch = OpenFlowSwitch(net.sim, "budget-sw", dpid=1)
+    net.add_device(switch)
+    net.connect(a, 0, switch, 1)
+    net.connect(b, 0, switch, 2)
+    switch.table.install(FlowEntry(match=Match(eth_type=0x0800, ipv4_dst=b.ip),
+                                   priority=100, actions=[OutputAction(2)]))
+    a.arp_cache[b.ip] = b.mac
+    return net.sim, a, b, switch
+
+
+class TestFramePath:
+    def test_a_primed_frame_costs_a_constant_from_host_to_host(self):
+        """Claim: one TCP segment from a primed host through the switch to
+        the other host is the same count every time, under a ceiling. The
+        chain: the host's send (``send_ip`` -> ``_tx_ip``, two builds), two
+        link hops of three calls each (``Device.transmit``,
+        ``Link.transmit``, ``Link._deliver``) plus the kernel's
+        ``schedule``/``heappush``/``heappop`` per event, the switch's frame
+        (extract, one lookup, ``touch``, actions, ``_output``) and the
+        receiving host's ``on_frame`` -> ``_on_tcp``. The frame is sized
+        once, when it is built."""
+        sim, a, b, switch = _primed_pair()
+        # An RST for no connection: the receiver drops it without a reply.
+        rst = TCPSegment(src_port=40000, dst_port=80, flags=TCPFlags.RST)
+
+        def one_frame() -> None:
+            a.send_ip(b.ip, IP_PROTO_TCP, rst)
+            sim.run()
+
+        counts = [calls(one_frame) for _ in range(8)]
+        assert switch.packets_forwarded == 8 and b.rx_frames == 8
+        assert _one(counts) <= 38
+
+
 def _noop() -> None:
     pass
 
@@ -270,7 +310,7 @@ def _slow_path_testbed():
     pkt = IPv4Packet(src=client.ip, dst=svc.service_id.addr,
                      proto=IP_PROTO_TCP, payload=seg)
     frame = EthernetFrame(src=client.mac, dst=tb.controller.cfg.vgw_mac,
-                          ethertype=ETH_TYPE_IP, payload=pkt, frame_id=1)
+                          ethertype=ETH_TYPE_IP, payload=pkt)
     msg = PacketIn(buffer_id=OFP_NO_BUFFER, in_port=1, frame=frame,
                    fields=extract_fields(frame, 1))
     msg.datapath = tb.manager.datapaths[tb.switch.dpid]

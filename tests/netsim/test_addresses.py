@@ -157,7 +157,7 @@ def test_frame_copies_keep_address_identity():
     frame = _frame(src_mac, dst_mac, src_ip, dst_ip)
     for other in (copy.copy(frame), copy.deepcopy(frame),
                   pickle.loads(pickle.dumps(frame)),
-                  dataclasses.replace(frame, frame_id=7)):
+                  dataclasses.replace(frame)):
         assert other.src is src_mac and other.dst is dst_mac
         assert other.payload.src is src_ip and other.payload.dst is dst_ip
         assert other == frame

@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.netsim import ConnectionRefused, ConnectTimeout, HTTPRequest, HTTPResponse, Network
-from repro.netsim.host import SYN_RTO_INITIAL
+from repro.netsim import (
+    MAC,
+    ConnectionRefused,
+    ConnectTimeout,
+    HTTPRequest,
+    HTTPResponse,
+    Network,
+    ip,
+)
+from repro.netsim.host import SYN_RTO_INITIAL, NetworkStateError
 from repro.netsim.packet import TCP_MSS
 
 
@@ -287,3 +295,38 @@ def test_gateway_routing_on_off_subnet():
     net.run()
     # ARP request went to the gateway's IP, not 8.8.8.8
     assert a.arp_cache.get(gw_ip) == router.mac
+
+
+def test_on_link_destinations_are_arped_directly():
+    """Inside the prefix the next hop is the destination itself; the mask
+    follows a later ``prefix_len`` change."""
+    net = Network(seed=1)
+    gw_ip = net.alloc_ip()
+    a = net.add_host("a", gateway=gw_ip, prefix_len=24)
+    b = net.add_host("b")
+    net.connect(a, 0, b, 0)
+    a.send_udp(b.ip, 53, "x", 10)
+    net.run()
+    assert a.arp_cache.get(b.ip) == b.mac and gw_ip not in a.arp_cache
+    a.prefix_len = 0  # everything on-link, the gateway is never ARPed
+    a.send_udp(ip("8.8.8.8"), 53, "x", 10)
+    assert ip("8.8.8.8") in a._arp_pending and gw_ip not in a._arp_pending
+
+
+@pytest.mark.parametrize("bad", [33, -1])
+def test_bad_prefix_length_rejected_at_construction(bad):
+    net = Network(seed=1)
+    with pytest.raises(ValueError, match="prefix length"):
+        net.add_host("a", prefix_len=bad)
+    host = net.add_host("b", prefix_len=24)
+    with pytest.raises(ValueError, match="prefix length"):
+        host.prefix_len = bad
+    assert host.prefix_len == 24
+
+
+def test_send_without_a_link_raises_network_state_error():
+    net = Network(seed=1)
+    a = net.add_host("a", prefix_len=24)
+    a.arp_cache[ip("10.0.0.200")] = MAC(7)
+    with pytest.raises(NetworkStateError, match="no link attached"):
+        a.send_udp(ip("10.0.0.200"), 53, "x", 10)

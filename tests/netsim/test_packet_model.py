@@ -1,6 +1,10 @@
 """Unit tests for the packet model: sizes, accessors, rendering."""
 
+import copy
 import dataclasses
+import pickle
+
+import pytest
 
 from repro.netsim import (
     ETH_TYPE_ARP,
@@ -17,6 +21,7 @@ from repro.netsim import (
     ip,
     mac,
 )
+from repro.netsim.addresses import IPv4
 from repro.netsim.packet import (
     ARP_BODY_BYTES,
     ETH_HEADER_BYTES,
@@ -27,6 +32,18 @@ from repro.netsim.packet import (
     ArpOp,
     ArpPacket,
 )
+from repro.simcore.domains.envelope import Envelope, decode_envelopes, encode_envelopes
+
+
+def layered_wire_bytes(frame):
+    """A frame's on-wire size summed layer by layer from the header
+    constants — the reference the size stored on the frame must equal."""
+    packet = frame.payload
+    if isinstance(packet, ArpPacket):
+        return ETH_HEADER_BYTES + ARP_BODY_BYTES
+    l4 = packet.payload
+    l4_header = TCP_HEADER_BYTES if isinstance(l4, TCPSegment) else UDP_HEADER_BYTES
+    return ETH_HEADER_BYTES + IP_HEADER_BYTES + l4_header + l4.payload_bytes
 
 
 def tcp_frame(payload_bytes=100, flags=TCPFlags.ACK):
@@ -73,6 +90,79 @@ class TestWireSizes:
         assert TCP_MSS == 1460
 
 
+def _size_frames():
+    tcp = tcp_frame(payload_bytes=100)
+    udp = EthernetFrame(src=mac(1), dst=mac(2), ethertype=ETH_TYPE_IP,
+                        payload=IPv4Packet(src=ip("1.1.1.1"), dst=ip("2.2.2.2"),
+                                           proto=IP_PROTO_UDP,
+                                           payload=UDPDatagram(src_port=1, dst_port=53,
+                                                               payload_bytes=48)))
+    arp = EthernetFrame(src=mac(1), dst=mac(2), ethertype=ETH_TYPE_ARP,
+                        payload=ArpPacket(op=ArpOp.REQUEST, sender_mac=mac(1),
+                                          sender_ip=ip("1.1.1.1"), target_mac=mac(0),
+                                          target_ip=ip("1.1.1.2")))
+    return {"tcp": tcp, "udp": udp, "arp": arp}
+
+
+def _resized_payload(frame):
+    """A new payload of the same shape: an ARP reply (ARP has one size), or
+    the IPv4 packet with 1 000 more L4 payload bytes."""
+    packet = frame.payload
+    if isinstance(packet, ArpPacket):
+        return ArpPacket(
+            op=ArpOp.REPLY, sender_mac=mac(2), sender_ip=ip("1.1.1.2"),
+            target_mac=mac(1), target_ip=ip("1.1.1.1"))
+    l4 = packet.payload
+    return packet.rewrite(payload=dataclasses.replace(l4, payload_bytes=l4.payload_bytes + 1000))
+
+
+def _envelope_round_trip(frame):
+    envelope = Envelope(src_domain=0, dst_domain=1, seq=0, sent_at=0.0,
+                        arrival_at=1.0, frame=frame)
+    return decode_envelopes(encode_envelopes([envelope]))[0].frame
+
+
+FRAME_COPIES = {
+    "built": lambda frame: frame,
+    "rewrite_headers": lambda frame: frame.rewrite_headers(
+        eth_src=mac(7), ipv4_dst=IPv4("192.0.2.9"), l4_src=8080),
+    "rewrite-headers-only": lambda frame: frame.rewrite(dst=mac(9)),
+    "rewrite-payload": lambda frame: frame.rewrite(payload=_resized_payload(frame)),
+    "replace": lambda frame: dataclasses.replace(frame, src=mac(5)),
+    "replace-payload": lambda frame: dataclasses.replace(frame, payload=_resized_payload(frame)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda frame: pickle.loads(pickle.dumps(frame)),
+    "pickle-0": lambda frame: pickle.loads(pickle.dumps(frame, protocol=0)),
+    "envelope-codec": _envelope_round_trip,
+}
+
+
+class TestStoredWireSize:
+    """The size stored when a frame is built stays the layered sum through
+    every way a frame is copied or rewritten."""
+
+    @pytest.mark.parametrize("how", FRAME_COPIES)
+    @pytest.mark.parametrize("kind", ["tcp", "udp", "arp"])
+    def test_stored_size_is_the_layered_sum(self, kind, how):
+        frame = _size_frames()[kind]
+        out = FRAME_COPIES[how](frame)
+        assert out.wire_bytes == layered_wire_bytes(out)
+
+    @pytest.mark.parametrize("kind", ["tcp", "udp", "arp"])
+    def test_a_new_payload_is_sized_anew(self, kind):
+        frame = _size_frames()[kind]
+        for out in (frame.rewrite(payload=_resized_payload(frame)),
+                    dataclasses.replace(frame, payload=_resized_payload(frame))):
+            assert out.wire_bytes == layered_wire_bytes(out)
+            assert (out.wire_bytes != frame.wire_bytes) == (kind != "arp")
+
+    def test_size_is_not_part_of_equality_or_repr(self):
+        frame = _size_frames()["tcp"]
+        assert "wire_bytes" not in repr(frame)
+        assert hash(frame) == hash(copy.copy(frame))
+
+
 class TestAccessors:
     def test_layer_accessors_tcp(self):
         frame = tcp_frame()
@@ -99,7 +189,7 @@ class TestAccessors:
     def test_frames_are_value_like(self):
         a = tcp_frame()
         b = dataclasses.replace(a)
-        assert a == b  # frame_id excluded from comparison
+        assert a == b and a.wire_bytes == b.wire_bytes
 
 
 class TestDescribe:

@@ -8,7 +8,8 @@ with ``dataclasses.replace``.
 Seeded random lists — interleaved outputs, trailing set-fields, repeated
 writes to one field, fields whose prerequisite layer the frame lacks, the
 empty list — must produce the same frames on the same ports, compared field
-by field at every layer including ``frame_id`` (which ``==`` ignores).
+by field at every layer including the stored ``wire_bytes`` (which ``==``
+ignores).
 """
 
 import dataclasses
@@ -59,12 +60,10 @@ def _frames(rng):
                     target_mac=MAC(0), target_ip=ip_dst)
     return [
         EthernetFrame(src, dst, ETH_TYPE_IP,
-                      IPv4Packet(ip_src, ip_dst, IP_PROTO_TCP, seg, ttl=17),
-                      frame_id=rng.randrange(1, 1 << 30)),
+                      IPv4Packet(ip_src, ip_dst, IP_PROTO_TCP, seg, ttl=17)),
         EthernetFrame(src, dst, ETH_TYPE_IP,
-                      IPv4Packet(ip_src, ip_dst, IP_PROTO_UDP, dg),
-                      frame_id=rng.randrange(1, 1 << 30)),
-        EthernetFrame(src, dst, ETH_TYPE_ARP, arp, frame_id=rng.randrange(1, 1 << 30)),
+                      IPv4Packet(ip_src, ip_dst, IP_PROTO_UDP, dg)),
+        EthernetFrame(src, dst, ETH_TYPE_ARP, arp),
     ]
 
 
@@ -90,7 +89,7 @@ def _action_list(rng):
 
 
 def _assert_same_frame(got, want):
-    """Every field of every layer, ``frame_id`` included."""
+    """Every field of every layer, ``wire_bytes`` included."""
     layer_got, layer_want = got, want
     while dataclasses.is_dataclass(layer_want):
         assert type(layer_got) is type(layer_want)

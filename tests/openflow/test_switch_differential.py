@@ -5,7 +5,9 @@ The randomized differential below drives one switch through >10k
 install/delete/idle-expiry/hard-expiry/packet interleavings and checks that
 every forward or drop, and every rule's packet and byte counters, are what
 the counter-free linear scan (``tests/openflow/reference.py``) picks for
-each frame at the moment it arrives.
+each frame at the moment it arrives. Every frame the switch emits —
+rules out of ports 3 and 4 NAT-rewrite it first — carries the layered sum
+of its headers and payload as its stored ``wire_bytes``.
 """
 
 import random
@@ -15,7 +17,9 @@ import pytest
 from repro.netsim import ETH_TYPE_IP, EthernetFrame, IPv4Packet, Network, TCPSegment, ip, mac
 from repro.netsim.packet import IP_PROTO_TCP
 from repro.openflow import FlowEntry, Match, OpenFlowSwitch, OutputAction, extract_fields
+from repro.openflow.actions import SetFieldAction
 
+from tests.netsim.test_packet_model import layered_wire_bytes
 from tests.openflow.reference import lookup_linear
 
 
@@ -41,9 +45,14 @@ def make_match(dst=None, src=None):
     return Match(**conditions)
 
 
+NAT = [SetFieldAction("eth_dst", mac(9)), SetFieldAction("ipv4_dst", ip("192.0.2.1")),
+       SetFieldAction("tcp_dst", 8080)]
+
+
 def flow(dst=None, src=None, priority=10, port=1, **kwargs):
+    actions = (NAT if port >= 3 else []) + [OutputAction(port)]
     return FlowEntry(match=make_match(dst, src), priority=priority,
-                     actions=[OutputAction(port)], **kwargs)
+                     actions=actions, **kwargs)
 
 
 DSTS = [f"1.2.3.{i}" for i in range(1, 7)]
@@ -67,6 +76,8 @@ def _drive_differential(seed, steps):
     disposition checked against the reference scan."""
     rng = random.Random(seed)
     net, sw = make_switch()
+    emitted = []
+    sw.transmit = lambda port, frame: emitted.append(frame)
     installed = []
     expected = {}  # entry -> (packets, bytes) the reference scan gave it
     for step in range(steps):
@@ -83,7 +94,7 @@ def _drive_differential(seed, steps):
             else:
                 forwarded += 1
                 packets, nbytes = expected.get(winner, (0, 0))
-                expected[winner] = (packets + 1, nbytes + frame.wire_bytes)
+                expected[winner] = (packets + 1, nbytes + layered_wire_bytes(frame))
             assert (sw.packets_forwarded, sw.packets_dropped) == \
                    (forwarded, dropped), f"step {step}"
         elif op < 0.84:
@@ -105,14 +116,18 @@ def _drive_differential(seed, steps):
     # the same winners
     for entry in installed:
         assert (entry.packet_count, entry.byte_count) == expected.get(entry, (0, 0))
-    return sw, installed
+    assert len(emitted) == sw.packets_forwarded
+    for frame in emitted:
+        assert frame.wire_bytes == layered_wire_bytes(frame)
+    return sw, installed, emitted
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
 def test_on_frame_agrees_with_reference_scan(seed):
-    sw, installed = _drive_differential(seed, steps=3500)
+    sw, installed, emitted = _drive_differential(seed, steps=3500)
     # sanity: the sequence forwarded and dropped, and rules left every way
     assert sw.packets_forwarded > 500
     assert sw.packets_dropped > 0
     assert sum(entry.removed for entry in installed) > 0
     assert sw.table.lookups == sw.packets_forwarded + sw.packets_dropped
+    assert any(frame.tcp.dst_port == 8080 for frame in emitted)  # NAT-rewritten

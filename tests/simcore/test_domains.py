@@ -47,8 +47,7 @@ def _frame(src_domain: int, dst_domain: int, index: int) -> EthernetFrame:
                         proto=IP_PROTO_TCP, payload=seg)
     return EthernetFrame(src=mac(f"02:00:00:00:{src_domain:02x}:01"),
                          dst=mac(f"02:00:00:00:{dst_domain:02x}:01"),
-                         ethertype=ETH_TYPE_IP, payload=packet,
-                         frame_id=index)
+                         ethertype=ETH_TYPE_IP, payload=packet)
 
 
 def _classify(frame: EthernetFrame):

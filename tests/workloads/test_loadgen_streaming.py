@@ -83,7 +83,7 @@ class TestClosedLoopStreaming:
 
 class TestRecordSemantics:
     def _timing(self, ok):
-        return RequestTiming(client="c", url="u", t_start=0.0,
+        return RequestTiming(client="c", t_start=0.0,
                              time_connect=0.001, time_total=0.002,
                              status=200 if ok else 0,
                              error=None if ok else "boom")
