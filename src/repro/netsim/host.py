@@ -42,6 +42,7 @@ from repro.netsim.packet import (
     TCPSegment,
     UDPDatagram,
 )
+from repro.simcore.signal import _UNSET
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.link import Link
@@ -121,6 +122,8 @@ class Connection:
         self.local_port = local_port
         self.remote_ip = remote_ip
         self.remote_port = remote_port
+        #: the host's table key; its three fields are never reassigned
+        self.key: ConnKey = (local_port, remote_ip, remote_port)
         self.is_client = is_client
         self.state = TCPState.CLOSED
         self.snd_nxt = 0
@@ -138,12 +141,6 @@ class Connection:
         #: time the first SYN left (curl's t=0 for time_connect/time_total)
         self.syn_sent_at: Optional[float] = None
         self.established_at: Optional[float] = None
-
-    # ----------------------------------------------------------------- key
-
-    @property
-    def key(self) -> ConnKey:
-        return (self.local_port, self.remote_ip, self.remote_port)
 
     # ------------------------------------------------------------ handshake
 
@@ -186,7 +183,7 @@ class Connection:
         """
         if self.state not in (TCPState.ESTABLISHED, TCPState.CLOSE_WAIT):
             raise NetworkStateError(f"send() on {self.state.value} connection")
-        remaining = max(0, int(size_bytes))
+        remaining = int(size_bytes) if size_bytes > 0 else 0
         while True:
             chunk = min(remaining, TCP_MSS)
             remaining -= chunk
@@ -197,7 +194,8 @@ class Connection:
                 payload_bytes=chunk,
                 last_fragment=last,
             )
-            self.snd_nxt += max(chunk, 1 if last and size_bytes == 0 else chunk)
+            # an empty message still takes one sequence number
+            self.snd_nxt += chunk if chunk else (1 if size_bytes == 0 else 0)
             if last:
                 break
 
@@ -238,11 +236,15 @@ class Connection:
     # ------------------------------------------------------------- rx path
 
     def _on_segment(self, seg: TCPSegment) -> None:
+        # ``established`` is tested through its two slots inline, as
+        # ``Signal.set`` does: a ``done`` property read is one more call.
+        established = self.established
         flags = int(seg.flags)
         if flags & _RST:
             self._cancel_syn_timer()
-            if self.state is TCPState.SYN_SENT and not self.established.done:
-                self.established.fail(ConnectionRefused(
+            if (self.state is TCPState.SYN_SENT and established._value is _UNSET
+                    and established._exception is None):
+                established.fail(ConnectionRefused(
                     f"{self.remote_ip}:{self.remote_port} refused connection"))
             self._finish_close()
             return
@@ -253,8 +255,8 @@ class Connection:
                 self.state = TCPState.ESTABLISHED
                 self.established_at = self.sim.now
                 self._emit(TCPFlags.ACK)
-                if not self.established.done:
-                    self.established.set(self)
+                if established._value is _UNSET and established._exception is None:
+                    established.set(self)
             return
 
         if self.state is TCPState.SYN_RCVD:
@@ -267,8 +269,8 @@ class Connection:
             if flags & _ACK:
                 self.state = TCPState.ESTABLISHED
                 self.established_at = self.sim.now
-                if not self.established.done:
-                    self.established.set(self)
+                if established._value is _UNSET and established._exception is None:
+                    established.set(self)
                 # fall through: the ACK may carry data
             if seg.payload_bytes == 0 and seg.payload is None:
                 return
@@ -298,7 +300,7 @@ class Connection:
     def _deliver_message(self, message: Any) -> None:
         if self._response_waiters:
             waiter = self._response_waiters.pop(0)
-            if not waiter.done:
+            if waiter._value is _UNSET and waiter._exception is None:
                 waiter.set(message)
                 return
         if self.on_message is not None:

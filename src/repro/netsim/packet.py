@@ -6,12 +6,11 @@ and so on). The OpenFlow rewrite actions produce *copies*, never mutate in
 place — a frame in flight may be referenced from several queues (switch
 buffer, controller, trace log).
 
-Each layer exposes a ``rewrite()`` helper that produces a copy with selected
-header fields changed while bypassing ``__init__``/``dataclasses.replace`` —
-``object.__new__`` plus direct slot stores (a frame given a new payload goes
-through ``__init__``, which sizes it). On the forwarding hot path a
-multi-field NAT rewrite then costs one new object per *mutated* layer
-instead of a full ``replace()`` reconstruction per field.
+:meth:`EthernetFrame.rewrite_headers` applies one row of set-field writes
+in one call, bypassing ``__init__``/``dataclasses.replace`` —
+``object.__new__`` plus direct slot stores, inline for every layer. On the
+forwarding hot path a multi-field NAT rewrite then costs one new object per
+*mutated* layer instead of a full ``replace()`` reconstruction per field.
 
 Application payloads are Python objects carried by value with an explicit
 byte size; the size (plus per-layer header overhead) drives link
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import enum
-from typing import Any, Optional, Union
+from typing import Any, Optional, Tuple, Union
 
 from repro.netsim.addresses import MAC, IPv4
 
@@ -132,20 +131,6 @@ class TCPSegment:
         # Plain-int AND: ``IntFlag.__and__`` would build a member per test.
         return int(self.flags) & int(flag) != 0
 
-    def rewrite(self, src_port: Optional[int] = None,
-                dst_port: Optional[int] = None) -> "TCPSegment":
-        """Copy with the given port(s) changed; other fields shared."""
-        new = _new(TCPSegment)
-        _set(new, "src_port", self.src_port if src_port is None else src_port)
-        _set(new, "dst_port", self.dst_port if dst_port is None else dst_port)
-        _set(new, "seq", self.seq)
-        _set(new, "ack", self.ack)
-        _set(new, "flags", self.flags)
-        _set(new, "payload", self.payload)
-        _set(new, "payload_bytes", self.payload_bytes)
-        _set(new, "last_fragment", self.last_fragment)
-        return new
-
 
 @dataclass(frozen=True, slots=True)
 class UDPDatagram:
@@ -159,16 +144,6 @@ class UDPDatagram:
     @property
     def wire_bytes(self) -> int:
         return UDP_HEADER_BYTES + self.payload_bytes
-
-    def rewrite(self, src_port: Optional[int] = None,
-                dst_port: Optional[int] = None) -> "UDPDatagram":
-        """Copy with the given port(s) changed; other fields shared."""
-        new = _new(UDPDatagram)
-        _set(new, "src_port", self.src_port if src_port is None else src_port)
-        _set(new, "dst_port", self.dst_port if dst_port is None else dst_port)
-        _set(new, "payload", self.payload)
-        _set(new, "payload_bytes", self.payload_bytes)
-        return new
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,21 +159,6 @@ class IPv4Packet:
     @property
     def wire_bytes(self) -> int:
         return IP_HEADER_BYTES + self.payload.wire_bytes
-
-    def rewrite(self, src: Optional[IPv4] = None, dst: Optional[IPv4] = None,
-                payload: Optional[Union[TCPSegment, UDPDatagram]] = None,
-                ttl: Optional[int] = None) -> "IPv4Packet":
-        """Copy with the given header field(s)/payload changed."""
-        new = _new(IPv4Packet)
-        _set(new, "src", self.src if src is None else src)
-        _set(new, "dst", self.dst if dst is None else dst)
-        _set(new, "proto", self.proto)
-        _set(new, "payload", self.payload if payload is None else payload)
-        _set(new, "ttl", self.ttl if ttl is None else ttl)
-        return new
-
-    def decrement_ttl(self) -> "IPv4Packet":
-        return self.rewrite(ttl=self.ttl - 1)
 
 
 class ArpOp(enum.IntEnum):
@@ -227,9 +187,9 @@ class EthernetFrame:
 
     ``wire_bytes`` is computed once, when the frame is built: every link hop
     and every switch touch reads it as a plain attribute. The hand-written
-    ``__init__`` stores it without a ``__post_init__`` call, header-only
-    rewrites copy it, and everything that builds a frame from its fields —
-    a payload-replacing :meth:`rewrite`, ``dataclasses.replace``, ``copy``
+    ``__init__`` stores it without a ``__post_init__`` call,
+    :meth:`rewrite_headers` copies it, and everything that builds a frame
+    from its fields — :meth:`rewrite`, ``dataclasses.replace``, ``copy``
     and pickle (via ``__reduce__``) — recomputes it.
     """
 
@@ -258,53 +218,63 @@ class EthernetFrame:
     def rewrite(self, src: Optional[MAC] = None, dst: Optional[MAC] = None,
                 payload: Optional[Union[ArpPacket, IPv4Packet]] = None,
                 ) -> "EthernetFrame":
-        """Copy with the given header field(s)/payload changed; a new
-        payload is sized anew."""
-        if payload is not None:
-            return EthernetFrame(self.src if src is None else src,
-                                 self.dst if dst is None else dst,
-                                 self.ethertype, payload)
-        return self._copy(src, dst, self.payload)
+        """Copy with the given header field(s)/payload changed, built
+        through ``__init__`` and so sized anew."""
+        return EthernetFrame(self.src if src is None else src,
+                             self.dst if dst is None else dst,
+                             self.ethertype, self.payload if payload is None else payload)
 
-    def _copy(self, src: Optional[MAC], dst: Optional[MAC],
-              payload: Union[ArpPacket, IPv4Packet]) -> "EthernetFrame":
-        # Header-only: ``payload`` is this frame's or a header rewrite of
-        # it, so the stored size carries over.
+    def rewrite_headers(self, writes: Tuple[Any, ...]) -> "EthernetFrame":
+        """One row of OpenFlow set-field writes as one copy per changed layer.
+
+        ``writes`` is a row of a compiled action program:
+        ``(eth_src, eth_dst, ipv4_src, ipv4_dst, tcp_src, tcp_dst, udp_src,
+        udp_dst)``, ``None`` leaving a field as it is. OpenFlow prerequisite
+        semantics apply per field: IPv4 writes are ignored on a non-IP
+        frame, and the port pair is picked by the L4 class (``tcp_dst`` on a
+        UDP datagram is a no-op while ``eth_dst`` in the same row still
+        applies). Untouched layers are shared, the stored ``wire_bytes``
+        carries over (only headers change), and a row with no applicable
+        write returns ``self``.
+        """
+        eth_src, eth_dst, ipv4_src, ipv4_dst, tcp_src, tcp_dst, udp_src, udp_dst = writes
+        payload = packet = self.payload
+        if type(payload) is IPv4Packet:
+            old_l4 = l4 = payload.payload
+            if type(old_l4) is TCPSegment:
+                if tcp_src is not None or tcp_dst is not None:
+                    l4 = _new(TCPSegment)
+                    _set(l4, "src_port", old_l4.src_port if tcp_src is None else tcp_src)
+                    _set(l4, "dst_port", old_l4.dst_port if tcp_dst is None else tcp_dst)
+                    _set(l4, "seq", old_l4.seq)
+                    _set(l4, "ack", old_l4.ack)
+                    _set(l4, "flags", old_l4.flags)
+                    _set(l4, "payload", old_l4.payload)
+                    _set(l4, "payload_bytes", old_l4.payload_bytes)
+                    _set(l4, "last_fragment", old_l4.last_fragment)
+            elif type(old_l4) is UDPDatagram:
+                if udp_src is not None or udp_dst is not None:
+                    l4 = _new(UDPDatagram)
+                    _set(l4, "src_port", old_l4.src_port if udp_src is None else udp_src)
+                    _set(l4, "dst_port", old_l4.dst_port if udp_dst is None else udp_dst)
+                    _set(l4, "payload", old_l4.payload)
+                    _set(l4, "payload_bytes", old_l4.payload_bytes)
+            if ipv4_src is not None or ipv4_dst is not None or l4 is not old_l4:
+                packet = _new(IPv4Packet)
+                _set(packet, "src", payload.src if ipv4_src is None else ipv4_src)
+                _set(packet, "dst", payload.dst if ipv4_dst is None else ipv4_dst)
+                _set(packet, "proto", payload.proto)
+                _set(packet, "payload", l4)
+                _set(packet, "ttl", payload.ttl)
+        if packet is payload and eth_src is None and eth_dst is None:
+            return self
         new = _new(EthernetFrame)
-        _set(new, "src", self.src if src is None else src)
-        _set(new, "dst", self.dst if dst is None else dst)
+        _set(new, "src", self.src if eth_src is None else eth_src)
+        _set(new, "dst", self.dst if eth_dst is None else eth_dst)
         _set(new, "ethertype", self.ethertype)
-        _set(new, "payload", payload)
+        _set(new, "payload", packet)
         _set(new, "wire_bytes", self.wire_bytes)
         return new
-
-    def rewrite_headers(self,
-                        eth_src: Optional[MAC] = None,
-                        eth_dst: Optional[MAC] = None,
-                        ipv4_src: Optional[IPv4] = None,
-                        ipv4_dst: Optional[IPv4] = None,
-                        l4_src: Optional[int] = None,
-                        l4_dst: Optional[int] = None) -> "EthernetFrame":
-        """Fused multi-layer rewrite: copy each mutated layer exactly once.
-
-        OpenFlow prerequisite semantics apply — IPv4 fields are ignored on a
-        non-IP frame, port fields are ignored when the L4 payload is absent
-        (an ARP frame has neither). A call with no effective changes returns
-        ``self`` unchanged.
-        """
-        payload = self.payload
-        new_payload: Optional[Union[ArpPacket, IPv4Packet]] = None
-        if type(payload) is IPv4Packet:
-            new_l4: Optional[Union[TCPSegment, UDPDatagram]] = None
-            if l4_src is not None or l4_dst is not None:
-                l4 = payload.payload
-                if type(l4) is TCPSegment or type(l4) is UDPDatagram:
-                    new_l4 = l4.rewrite(l4_src, l4_dst)
-            if ipv4_src is not None or ipv4_dst is not None or new_l4 is not None:
-                new_payload = payload.rewrite(ipv4_src, ipv4_dst, new_l4)
-        if eth_src is None and eth_dst is None and new_payload is None:
-            return self
-        return self._copy(eth_src, eth_dst, payload if new_payload is None else new_payload)
 
     # ------------------------------------------------------- layer accessors
 

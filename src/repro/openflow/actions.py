@@ -1,18 +1,19 @@
 """OpenFlow actions: output and set-field (the rewrite primitive).
 
-``apply_actions_multi`` executes an action list against a frame, returning
-the ``(frame, port)`` pair of every output — the switch then performs the
-actual transmissions. Set-field produces copies; frames are never mutated
-in place.
-
 An action list is **compiled** once into an :class:`ActionProgram`: the
 set-fields between two outputs collapse into one row of header writes, which
-materializes as a single fused
-:meth:`~repro.netsim.packet.EthernetFrame.rewrite_headers` copy at that
+materializes as a single flat
+:meth:`~repro.netsim.packet.EthernetFrame.rewrite_headers` call at that
 output (apply-actions semantics: an output emits the frame as rewritten *so
-far*). A flow entry compiles its list at construction and the program dies
-with the entry; a raw list (PacketOut, tests) is compiled where it is
-executed. The tests hold an uncompiled interpreter, one
+far*). Set-field produces copies; frames are never mutated in place. A flow
+entry compiles its list at construction and the program dies with the entry;
+the switch walks a program's steps itself
+(:meth:`~repro.openflow.switch.OpenFlowSwitch._execute`) and compiles a
+PacketOut's list where it executes it.
+
+``apply_actions_multi`` and ``apply_actions`` run a list or program off the
+switch, returning the ``(frame, port)`` pair of every output; they rest on
+the same rewrite. The tests hold an uncompiled interpreter, one
 ``dataclasses.replace`` chain per field, as the differential-testing oracle
 (``tests/openflow/reference.py``).
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union, final
 
 from repro.netsim.addresses import MAC, IPv4
-from repro.netsim.packet import EthernetFrame, IPv4Packet, TCPSegment, UDPDatagram
+from repro.netsim.packet import EthernetFrame
 from repro.openflow.constants import REWRITABLE_FIELDS
 
 
@@ -123,25 +124,6 @@ class ActionProgram:
         self.trailing = None if row is None else tuple(row)
 
 
-def _apply_writes(frame: EthernetFrame, writes: _Writes) -> EthernetFrame:
-    """Materialize one row of header writes as one fused rewrite.
-
-    Per-field OpenFlow prerequisite semantics: ``rewrite_headers`` ignores
-    IPv4 writes on a non-IP frame, and the port pair is picked by the L4
-    class here (``tcp_dst`` on a UDP packet is a no-op while ``eth_dst`` in
-    the same row still applies).
-    """
-    eth_src, eth_dst, ipv4_src, ipv4_dst, tcp_src, tcp_dst, udp_src, udp_dst = writes
-    packet = frame.payload
-    if type(packet) is IPv4Packet:
-        l4_class = type(packet.payload)
-        if l4_class is TCPSegment:
-            return frame.rewrite_headers(eth_src, eth_dst, ipv4_src, ipv4_dst, tcp_src, tcp_dst)
-        if l4_class is UDPDatagram:
-            return frame.rewrite_headers(eth_src, eth_dst, ipv4_src, ipv4_dst, udp_src, udp_dst)
-    return frame.rewrite_headers(eth_src, eth_dst, ipv4_src, ipv4_dst)
-
-
 def apply_actions_multi(
     frame: EthernetFrame, actions: Union[ActionProgram, Sequence[Action]]
 ) -> List[Tuple[EthernetFrame, int]]:
@@ -156,7 +138,7 @@ def apply_actions_multi(
     current = frame
     for writes, port in program.steps:
         if writes is not None:
-            current = _apply_writes(current, writes)
+            current = current.rewrite_headers(writes)
         outputs.append((current, port))
     return outputs
 
@@ -175,5 +157,5 @@ def apply_actions(
     if outputs:
         return outputs[-1][0], [port for _, port in outputs]
     if program.trailing is not None:
-        frame = _apply_writes(frame, program.trailing)
+        frame = frame.rewrite_headers(program.trailing)
     return frame, []

@@ -8,6 +8,13 @@ barrier). Per-packet datapath latency is a small constant (``forwarding
 the control-channel round trip, which is modelled in
 :class:`~repro.openflow.channel.ControlChannel`. Every frame costs one flow
 table lookup; no per-switch cache sits in front of the table.
+
+The switch runs the matched entry's compiled
+:class:`~repro.openflow.actions.ActionProgram` itself (``_execute``): each
+step's writes are one flat ``EthernetFrame.rewrite_headers`` call, and an
+output to a physical port is counted and scheduled inline. Reserved ports go
+through ``_output``; one the datapath does not implement (``OFPP_ANY``, ...)
+drops the frame. A PacketOut's action list is compiled and run the same way.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.netsim.device import Device
 from repro.netsim.packet import EthernetFrame
-from repro.openflow.actions import OutputAction, apply_actions_multi
+from repro.openflow.actions import ActionProgram, OutputAction
 from repro.openflow.channel import ControlChannel
 from repro.openflow.constants import (
     OFP_NO_BUFFER,
@@ -166,25 +173,34 @@ class OpenFlowSwitch(Device):
                                     {"switch": self.name, "pkt": frame.describe()})
             return
         entry.touch(self.sim.now, frame.wire_bytes)
-        self._execute(entry, frame, in_port, fields)
+        self._execute(entry.program, frame, in_port, fields)
 
-    def _execute(self, entry: FlowEntry, frame: EthernetFrame, in_port: int,
+    def _execute(self, program: ActionProgram, frame: EthernetFrame, in_port: int,
                  fields: Optional[FieldDict] = None) -> None:
-        """Run ``entry``'s actions on ``frame``. ``fields`` is the frame's
-        field dict when the caller already extracted it; a packet-in of the
-        unrewritten frame then reuses it."""
-        outputs = apply_actions_multi(frame, entry.program)
-        if not outputs:
-            self.packets_dropped += 1  # empty action list == drop
+        """Run a compiled action program on ``frame``: each step's writes
+        are one flat rewrite of the frame as rewritten so far, and a
+        physical output port is one scheduled transmit. ``fields`` is the
+        frame's field dict when the caller already extracted it; a
+        packet-in of the unrewritten frame then reuses it."""
+        steps = program.steps
+        if not steps:
+            self.packets_dropped += 1  # no output action == drop
             return
-        for out_frame, port in outputs:
-            self._output(out_frame, port, in_port, OFPR_ACTION,
-                         fields if out_frame is frame else None)
+        current = frame
+        for writes, port in steps:
+            if writes is not None:
+                current = current.rewrite_headers(writes)
+            if port < OFPP_IN_PORT:
+                self.packets_forwarded += 1
+                self.sim.schedule(self.forwarding_delay_s, self.transmit, port, current)
+            else:
+                self._output(current, port, in_port, fields if current is frame else None)
 
-    def _output(self, frame: EthernetFrame, port: int, in_port: int, reason: int,
-                fields: Optional[FieldDict] = None) -> None:
+    def _output(self, frame: EthernetFrame, port: int, in_port: int,
+                fields: Optional[FieldDict]) -> None:
+        """An output to a reserved port."""
         if port == OFPP_CONTROLLER:
-            self._send_packet_in(frame, in_port, reason, fields)
+            self._send_packet_in(frame, in_port, OFPR_ACTION, fields)
             return
         if port in (OFPP_FLOOD, OFPP_ALL):
             for port_no in self.port_numbers:
@@ -193,9 +209,15 @@ class OpenFlowSwitch(Device):
             self.packets_forwarded += 1
             return
         if port == OFPP_IN_PORT:
-            port = in_port
-        self.packets_forwarded += 1
-        self.sim.schedule(self.forwarding_delay_s, self.transmit, port, frame)
+            self.packets_forwarded += 1
+            self.sim.schedule(self.forwarding_delay_s, self.transmit, in_port, frame)
+            return
+        # OFPP_ANY and the reserved ports this datapath does not implement
+        self.packets_dropped += 1
+        if self.sim.trace.enabled:
+            self.sim.trace.emit(self.sim.now, "of", "drop-reserved-port",
+                                {"switch": self.name, "port": port,
+                                 "pkt": frame.describe()})
 
     # ------------------------------------------------------------ packet-in
 
@@ -282,7 +304,7 @@ class OpenFlowSwitch(Device):
                 frame, in_port = buffered
                 # Spec: apply the new entry's actions to the buffered packet.
                 entry.touch(self.sim.now, frame.wire_bytes)
-                self._execute(entry, frame, in_port)
+                self._execute(entry.program, frame, in_port)
 
     def _handle_packet_out(self, message: PacketOut) -> None:
         if message.buffer_id != OFP_NO_BUFFER:
@@ -294,8 +316,7 @@ class OpenFlowSwitch(Device):
             if message.frame is None:
                 return
             frame, in_port = message.frame, message.in_port
-        for out_frame, port in apply_actions_multi(frame, message.actions):
-            self._output(out_frame, port, in_port, OFPR_ACTION)
+        self._execute(ActionProgram(message.actions), frame, in_port)
 
     def _flow_removed(self, entry: FlowEntry, reason: int) -> None:
         if self.channel is None:

@@ -163,11 +163,13 @@ class Process:
         self._wait_on(yielded)
 
     def _wait_on(self, yielded: Any) -> None:
-        if not hasattr(yielded, "_wait_subscribe"):
+        try:
+            subscribe = yielded._wait_subscribe
+        except AttributeError:
             self._step_throw(TypeError(f"process {self.name!r} yielded non-waitable {yielded!r}"))
             return
         self._waiting_on = yielded
-        yielded._wait_subscribe(self._resume)
+        subscribe(self._resume)
 
     def _resume(self, waitable: Any) -> None:
         if self._done or waitable is not self._waiting_on:

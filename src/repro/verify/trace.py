@@ -5,10 +5,11 @@ The tracer mirrors the production data path exactly:
 * rule selection replicates ``FlowTable.lookup`` — highest priority wins,
   FIFO (lowest install ``seq``) among equals, with the same
   (ipv4_src, ipv4_dst) index so 100k-rule tables stay cheap;
-* action execution replicates ``apply_actions_multi`` — ``SetFieldAction``s
-  accumulate and each ``OutputAction`` emits the header *as rewritten so
-  far* (trailing set-fields are discarded), with layer checks (a tcp field
-  rewrite on a non-TCP header is a no-op, as on a real packet);
+* action execution replicates the switch's run of a rule's compiled
+  program (``OpenFlowSwitch._execute``) — ``SetFieldAction``s accumulate and
+  each ``OutputAction`` emits the header *as rewritten so far* (trailing
+  set-fields are discarded), with layer checks (a tcp field rewrite on a
+  non-TCP header is a no-op, as on a real packet);
 * an emission whose port is an inter-switch link re-enters the peer's table
   with ``in_port`` set to the peer port.
 
@@ -101,7 +102,7 @@ def build_indices(snapshot: NetworkSnapshot) -> Dict[int, RuleIndex]:
 
 def _apply_symbolic(fields: Dict[str, Any], actions: Tuple[Any, ...],
                     ) -> List[Tuple[Dict[str, Any], int]]:
-    """Replicate ``apply_actions_multi`` on a field-dict: returns the
+    """Replicate the switch's action execution on a field-dict: returns the
     (rewritten-so-far header, out_port) emitted by each OutputAction."""
     emissions: List[Tuple[Dict[str, Any], int]] = []
     current = fields

@@ -200,19 +200,31 @@ class TestSwitchFastPath:
         assert _one(per_size) <= 16
 
 
+#: the address host a sends to in the NAT case: on a's subnet, held by no host
+_VIRTUAL_IP = ip("10.0.0.200")
+
+
 def _primed_pair():
     """Host a -> switch -> host b over two links, the ARP cache and the
-    forwarding rule already in place: ``(sim, a, b, switch)``."""
+    forwarding rules already in place: ``(sim, a, b, switch)``. Frames to
+    ``b`` are forwarded as they are; frames to ``_VIRTUAL_IP`` are NAT-
+    rewritten to ``b`` (eth_dst, ipv4_dst, tcp_dst), as a redirected flow's
+    are."""
     net = Network(seed=0)
-    a = net.add_host("a", prefix_len=24)
-    b = net.add_host("b", prefix_len=24)
+    a = net.add_host("a", ip_addr=ip("10.0.0.1"), prefix_len=24)
+    b = net.add_host("b", ip_addr=ip("10.0.0.2"), prefix_len=24)
     switch = OpenFlowSwitch(net.sim, "budget-sw", dpid=1)
     net.add_device(switch)
     net.connect(a, 0, switch, 1)
     net.connect(b, 0, switch, 2)
     switch.table.install(FlowEntry(match=Match(eth_type=0x0800, ipv4_dst=b.ip),
                                    priority=100, actions=[OutputAction(2)]))
+    switch.table.install(FlowEntry(
+        match=Match(eth_type=0x0800, ipv4_dst=_VIRTUAL_IP), priority=100,
+        actions=[SetFieldAction("eth_dst", b.mac), SetFieldAction("ipv4_dst", b.ip),
+                 SetFieldAction("tcp_dst", 8080), OutputAction(2)]))
     a.arp_cache[b.ip] = b.mac
+    a.arp_cache[_VIRTUAL_IP] = mac("02:00:00:00:00:c8")
     return net.sim, a, b, switch
 
 
@@ -224,9 +236,9 @@ class TestFramePath:
         link hops of three calls each (``Device.transmit``,
         ``Link.transmit``, ``Link._deliver``) plus the kernel's
         ``schedule``/``heappush``/``heappop`` per event, the switch's frame
-        (extract, one lookup, ``touch``, actions, ``_output``) and the
-        receiving host's ``on_frame`` -> ``_on_tcp``. The frame is sized
-        once, when it is built."""
+        (extract, one lookup, ``touch``, ``_execute``, which schedules the
+        transmit itself) and the receiving host's ``on_frame`` ->
+        ``_on_tcp``. The frame is sized once, when it is built."""
         sim, a, b, switch = _primed_pair()
         # An RST for no connection: the receiver drops it without a reply.
         rst = TCPSegment(src_port=40000, dst_port=80, flags=TCPFlags.RST)
@@ -237,7 +249,25 @@ class TestFramePath:
 
         counts = [calls(one_frame) for _ in range(8)]
         assert switch.packets_forwarded == 8 and b.rx_frames == 8
-        assert _one(counts) <= 38
+        assert _one(counts) <= 33
+
+    def test_a_nat_rewritten_frame_costs_a_constant(self):
+        """Claim: the same segment sent to a virtual address the switch
+        NAT-rewrites to the other host (three layers written) costs the
+        plain frame's chain plus one flat ``rewrite_headers`` call and one
+        ``object.__new__`` per rewritten layer — no per-layer rewrite or
+        action call."""
+        sim, a, b, switch = _primed_pair()
+        rst = TCPSegment(src_port=40000, dst_port=80, flags=TCPFlags.RST)
+
+        def one_frame() -> None:
+            a.send_ip(_VIRTUAL_IP, IP_PROTO_TCP, rst)
+            sim.run()
+
+        counts = [calls(one_frame) for _ in range(8)]
+        assert switch.packets_forwarded == 8 and b.rx_frames == 8
+        assert _one(counts) <= 37
+        assert b.stats["dropped_not_mine"] == 0  # rewritten to b's MAC and IP
 
 
 def _noop() -> None:

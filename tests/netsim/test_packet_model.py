@@ -113,7 +113,8 @@ def _resized_payload(frame):
             op=ArpOp.REPLY, sender_mac=mac(2), sender_ip=ip("1.1.1.2"),
             target_mac=mac(1), target_ip=ip("1.1.1.1"))
     l4 = packet.payload
-    return packet.rewrite(payload=dataclasses.replace(l4, payload_bytes=l4.payload_bytes + 1000))
+    return dataclasses.replace(
+        packet, payload=dataclasses.replace(l4, payload_bytes=l4.payload_bytes + 1000))
 
 
 def _envelope_round_trip(frame):
@@ -125,7 +126,7 @@ def _envelope_round_trip(frame):
 FRAME_COPIES = {
     "built": lambda frame: frame,
     "rewrite_headers": lambda frame: frame.rewrite_headers(
-        eth_src=mac(7), ipv4_dst=IPv4("192.0.2.9"), l4_src=8080),
+        (mac(7), None, None, IPv4("192.0.2.9"), 8080, None, 8080, None)),
     "rewrite-headers-only": lambda frame: frame.rewrite(dst=mac(9)),
     "rewrite-payload": lambda frame: frame.rewrite(payload=_resized_payload(frame)),
     "replace": lambda frame: dataclasses.replace(frame, src=mac(5)),
@@ -179,12 +180,12 @@ class TestAccessors:
         assert seg.has(TCPFlags.ACK)
         assert not seg.has(TCPFlags.FIN)
 
-    def test_ttl_decrement_returns_copy(self):
+    def test_a_header_rewrite_copies_and_keeps_the_ttl(self):
         frame = tcp_frame()
-        packet = frame.ipv4
-        decremented = packet.decrement_ttl()
-        assert decremented.ttl == packet.ttl - 1
-        assert packet.ttl == 64  # original untouched
+        out = frame.rewrite_headers((None, None, None, ip("10.0.0.9"),
+                                     None, None, None, None))
+        assert out.ipv4.dst == ip("10.0.0.9") and out.ipv4.ttl == 64
+        assert frame.ipv4.dst == ip("10.0.0.2")  # original untouched
 
     def test_frames_are_value_like(self):
         a = tcp_frame()

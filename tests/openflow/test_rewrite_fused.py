@@ -1,8 +1,10 @@
 """Compiled action programs vs. the per-field reference interpreter.
 
 ``apply_actions_multi`` / ``apply_actions`` execute an action list through
-its compiled :class:`~repro.openflow.actions.ActionProgram` (one fused
-``rewrite_headers`` copy per output); ``apply_actions_multi_reference``
+its compiled :class:`~repro.openflow.actions.ActionProgram` (one flat
+``rewrite_headers`` call per output that has writes); the switch runs the
+same programs itself, checked against the same reference with this module's
+generators in ``test_switch_differential.py``. ``apply_actions_multi_reference``
 (``tests/openflow/reference.py``) interprets the same list action by action
 with ``dataclasses.replace``.
 Seeded random lists — interleaved outputs, trailing set-fields, repeated
@@ -40,7 +42,13 @@ from repro.openflow.actions import (
     apply_actions,
     apply_actions_multi,
 )
-from repro.openflow.constants import REWRITABLE_FIELDS
+from repro.openflow.constants import (
+    OFPP_ALL,
+    OFPP_CONTROLLER,
+    OFPP_FLOOD,
+    OFPP_IN_PORT,
+    REWRITABLE_FIELDS,
+)
 
 from tests.openflow.reference import apply_actions_multi_reference
 
@@ -76,13 +84,20 @@ def _set_field(rng):
     return SetFieldAction(field, rng.randrange(1, 65536))
 
 
-def _action_list(rng):
+#: the switch tests' port pool: four physical ports and the reserved ports
+#: the datapath implements
+SWITCH_PORTS = (1, 2, 3, 4, OFPP_IN_PORT, OFPP_FLOOD, OFPP_ALL, OFPP_CONTROLLER)
+
+
+def _action_list(rng, ports=None):
     """0-10 actions; small field and port pools make repeated writes to one
-    field, back-to-back outputs and trailing set-fields all common."""
+    field, back-to-back outputs and trailing set-fields all common. Outputs
+    go to ports 1-4, or to a choice from ``ports`` when given."""
     actions = []
     for _ in range(rng.randrange(0, 11)):
         if rng.random() < 0.3:
-            actions.append(OutputAction(rng.randrange(1, 5)))
+            port = rng.randrange(1, 5) if ports is None else rng.choice(ports)
+            actions.append(OutputAction(port))
         else:
             actions.append(_set_field(rng))
     return actions
@@ -167,6 +182,25 @@ def test_the_generator_covers_the_cases_it_claims():
                 seen.add("tcp-and-udp-fields")
     assert seen == {"empty", "no-output", "trailing-set-field", "repeated-field",
                     "interleaved-outputs", "tcp-and-udp-fields"}
+
+
+def test_the_switch_generator_covers_every_port_kind():
+    """Guards the switch's differential (``test_switch_differential.py``):
+    its lists reach every reserved port it implements, several outputs in
+    one list, and the empty list."""
+    seen = set()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for _ in range(LISTS_PER_SEED):
+            actions = _action_list(rng, SWITCH_PORTS)
+            ports = [a.port for a in actions if isinstance(a, OutputAction)]
+            seen.update(port for port in ports if port > 4)
+            if len(ports) > 1:
+                seen.add("multi-output")
+            if not actions:
+                seen.add("empty")
+    assert seen == {OFPP_IN_PORT, OFPP_FLOOD, OFPP_ALL, OFPP_CONTROLLER,
+                    "multi-output", "empty"}
 
 
 def test_prerequisite_drops_keep_the_rest_of_the_row():

@@ -24,7 +24,7 @@ from repro.openflow import (
     PacketOut,
     SetFieldAction,
 )
-from repro.openflow.constants import OFPFC_DELETE, OFPP_FLOOD
+from repro.openflow.constants import OFPFC_DELETE, OFPP_ANY, OFPP_FLOOD
 
 
 class Sink(Device):
@@ -169,6 +169,33 @@ def test_flood_excludes_in_port(setup):
     assert len(sinks[0].received) == 0  # in port
     assert len(sinks[1].received) == 1
     assert len(sinks[2].received) == 1
+
+
+#: OFPP_ANY and the OF 1.3 reserved ports this datapath does not implement
+#: (TABLE, NORMAL, LOCAL)
+UNIMPLEMENTED_PORTS = [OFPP_ANY, 0xFFFFFFF9, 0xFFFFFFFA, 0xFFFFFFFE]
+
+
+@pytest.mark.parametrize("port", UNIMPLEMENTED_PORTS, ids=["ANY", "TABLE", "NORMAL", "LOCAL"])
+def test_output_to_an_unimplemented_reserved_port_drops(setup, port):
+    """Counted as a drop and traced, with no transmit scheduled — not
+    counted as forwarded and handed to ``transmit`` as an unwired port."""
+    net, sw, sinks, ctrl, chan = setup
+    net.sim.trace.enabled = True
+    chan.to_switch(FlowMod(match=Match(), priority=1,
+                           actions=[OutputAction(port), OutputAction(2)]))
+    net.run()
+    sw.deliver(1, tcp_frame())
+    assert net.sim.pending_count() == 1  # port 2's transmit, nothing for the reserved port
+    chan.to_switch(PacketOut(buffer_id=OFP_NO_BUFFER, in_port=1,
+                             actions=[OutputAction(port)], frame=tcp_frame()))
+    net.run()
+    assert (sw.packets_forwarded, sw.packets_dropped) == (1, 2)
+    assert len(sinks[1].received) == 1
+    assert sw.tx_frames == 1
+    drops = net.sim.trace.filter(category="of", event="drop-reserved-port")
+    assert [record.data["port"] for record in drops] == [port, port]
+    assert net.sim.trace.filter(category="net", event="tx-drop") == []
 
 
 def test_rewrite_flow_rewrites_packet(setup):

@@ -5,10 +5,10 @@ Three families, all over randomized inputs:
 * address interning — equality and identity coincide, across both
   constructor forms and a pickle round-trip (pool workers exchange
   addresses, so ``__reduce__`` must land on the singleton);
-* ``rewrite()`` — structurally identical to rebuilding the object with
-  ``dataclasses.replace``, while *sharing* every untouched sub-object;
-* the fused ``rewrite_headers`` used by the switch action pipeline —
-  equivalent to its layer-by-layer reference.
+* ``EthernetFrame.rewrite`` — identical to ``dataclasses.replace``;
+* the flat ``rewrite_headers`` the switch runs per output — equivalent to a
+  ``dataclasses.replace`` per changed layer, while *sharing* every untouched
+  sub-object.
 """
 
 import dataclasses
@@ -66,73 +66,51 @@ class TestInterning:
         assert back_ip is a and back_mac is m
 
 
+def _replace_fields(obj, **changes):
+    """``dataclasses.replace`` with the ``None`` changes left out."""
+    return dataclasses.replace(obj, **{k: v for k, v in changes.items() if v is not None})
+
+
 class TestRewriteRoundTrip:
-    @given(frames(), st.integers(min_value=0, max_value=63))
+    @given(frames(), st.integers(min_value=0, max_value=7))
     def test_rewrite_equals_replace(self, frame, fieldmask):
-        """Any subset of the six rewritable header fields: ``rewrite``
-        chains produce exactly what ``dataclasses.replace`` chains do."""
-        seg, pkt = frame.payload.payload, frame.payload
+        """``EthernetFrame.rewrite`` with any subset of its arguments builds
+        exactly what ``dataclasses.replace`` does, sized anew."""
         new_esrc = mac(0x02AA00000001) if fieldmask & 1 else None
         new_edst = mac(0x02AA00000002) if fieldmask & 2 else None
-        new_isrc = ip("192.0.2.1") if fieldmask & 4 else None
-        new_idst = ip("192.0.2.2") if fieldmask & 8 else None
-        new_sport = 11111 if fieldmask & 16 else None
-        new_dport = 22222 if fieldmask & 32 else None
-
-        got = frame.rewrite(
-            src=new_esrc, dst=new_edst,
-            payload=pkt.rewrite(
-                src=new_isrc, dst=new_idst,
-                payload=seg.rewrite(src_port=new_sport, dst_port=new_dport)))
-
-        want_seg = dataclasses.replace(
-            seg, **{k: v for k, v in
-                    (("src_port", new_sport), ("dst_port", new_dport))
-                    if v is not None})
-        want_pkt = dataclasses.replace(
-            pkt, payload=want_seg,
-            **{k: v for k, v in (("src", new_isrc), ("dst", new_idst))
-               if v is not None})
-        want = dataclasses.replace(
-            frame, payload=want_pkt,
-            **{k: v for k, v in (("src", new_esrc), ("dst", new_edst))
-               if v is not None})
+        new_pkt = (dataclasses.replace(frame.payload, ttl=9) if fieldmask & 4 else None)
+        got = frame.rewrite(src=new_esrc, dst=new_edst, payload=new_pkt)
+        want = _replace_fields(frame, src=new_esrc, dst=new_edst, payload=new_pkt)
         assert got == want
-        assert got.wire_bytes == frame.wire_bytes  # compare=False, so check it
+        assert got.wire_bytes == want.wire_bytes == frame.wire_bytes  # compare=False
 
     @given(frames())
     def test_rewrite_shares_untouched_layers(self, frame):
-        """A TTL-only rewrite must not copy the L4 payload (that sharing is
-        the allocation win the bench measures)."""
-        out = frame.rewrite(payload=frame.payload.rewrite(ttl=9))
+        """An IPv4-only write must not copy the L4 segment or the MACs (that
+        sharing is the allocation win the bench measures)."""
+        out = frame.rewrite_headers((None, None, None, ip("192.0.2.2"),
+                                     None, None, None, None))
         assert out.payload.payload is frame.payload.payload
         assert out.src is frame.src and out.dst is frame.dst
+        assert out.payload.ttl == frame.payload.ttl
 
-    @given(frames(), st.integers(min_value=0, max_value=63))
+    @given(frames(), st.integers(min_value=0, max_value=255))
     def test_fused_equals_layerwise(self, frame, fieldmask):
-        kwargs = {}
-        if fieldmask & 1:
-            kwargs["eth_src"] = mac(0x02AA00000011)
-        if fieldmask & 2:
-            kwargs["eth_dst"] = mac(0x02AA00000012)
-        if fieldmask & 4:
-            kwargs["ipv4_src"] = ip("198.51.100.9")
-        if fieldmask & 8:
-            kwargs["ipv4_dst"] = ip("198.51.100.10")
-        if fieldmask & 16:
-            kwargs["l4_src"] = 3333
-        if fieldmask & 32:
-            kwargs["l4_dst"] = 4444
+        """Any subset of the eight slots of a write row: one flat
+        ``rewrite_headers`` call equals a ``dataclasses.replace`` per
+        changed layer. The UDP slots are no-ops on a TCP frame."""
+        values = (mac(0x02AA00000011), mac(0x02AA00000012),
+                  ip("198.51.100.9"), ip("198.51.100.10"), 3333, 4444, 5555, 6666)
+        row = tuple(value if fieldmask >> slot & 1 else None
+                    for slot, value in enumerate(values))
+        eth_src, eth_dst, ipv4_src, ipv4_dst, tcp_src, tcp_dst, _udp_src, _udp_dst = row
 
-        fused = frame.rewrite_headers(**kwargs)
+        fused = frame.rewrite_headers(row)
 
-        want = frame
-        seg = want.payload.payload.rewrite(src_port=kwargs.get("l4_src"),
-                                           dst_port=kwargs.get("l4_dst"))
-        pkt = want.payload.rewrite(src=kwargs.get("ipv4_src"),
-                                   dst=kwargs.get("ipv4_dst"), payload=seg)
-        want = want.rewrite(src=kwargs.get("eth_src"),
-                            dst=kwargs.get("eth_dst"), payload=pkt)
+        seg = _replace_fields(frame.payload.payload, src_port=tcp_src, dst_port=tcp_dst)
+        pkt = _replace_fields(frame.payload, src=ipv4_src, dst=ipv4_dst, payload=seg)
+        want = _replace_fields(frame, src=eth_src, dst=eth_dst, payload=pkt)
         assert fused == want
-        if not kwargs:
-            assert fused is frame  # no-op returns self, zero allocations
+        assert fused.wire_bytes == frame.wire_bytes
+        if not fieldmask & 0x3F:
+            assert fused is frame  # nothing applies: returns self, zero allocations
