@@ -2,7 +2,8 @@
 
 from repro.experiments.runner import main
 
-# The guard matters: with the spawn start method, worker processes re-import
-# __main__, and an unguarded call would recursively re-run the whole CLI.
+# The guard matters: under the spawn start method, the --domains N lockstep
+# workers re-import __main__, and an unguarded call would recursively re-run
+# the whole CLI.
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -11,9 +11,8 @@ decision with its alternative:
 * Global-Scheduler policies under skewed load;
 * public vs. private registry and warm vs. cold layer cache.
 
-Each arm of every ablation is an independently seeded *cell* (top-level,
-picklable), so the contrasting configurations run in parallel under
-``--jobs N`` without changing a byte of output.
+Each arm of every ablation is an independently seeded *cell*: a top-level
+function of its own arguments, called once per arm in table order.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.scheduler import LoadAwareScheduler, ProximityScheduler, RoundRobinScheduler
-from repro.experiments.pool import Cell, run_cells
 from repro.experiments.topologies import build_testbed, request_service
 from repro.metrics import Table, summarize
 from repro.openflow import Match
@@ -56,11 +54,9 @@ def ablation_flow_memory(repeats: int = 9) -> Table:
         columns=["flow_memory", "remiss_median", "dispatches"],
         note="low (5 s) switch idle timeout; warm instance",
     )
-    cells = [Cell(fn=flow_memory_cell, seed=41,
-                  kwargs=dict(use_memory=use_memory, repeats=repeats, seed=41))
-             for use_memory in (True, False)]
-    for row in run_cells(cells):
-        table.add(**row)
+    for use_memory in (True, False):
+        table.add(**flow_memory_cell(use_memory=use_memory, repeats=repeats,
+                                     seed=41))
     return table
 
 
@@ -103,11 +99,8 @@ def ablation_waiting_modes() -> Table:
         note="optimal edge cold (image cached); farther edge warm",
         time_columns={"first_request", "later_request"},
     )
-    cells = [Cell(fn=waiting_mode_cell, seed=43,
-                  kwargs=dict(mode=mode, budget=budget, seed=43))
-             for mode, budget in (("with_waiting", None), ("without_waiting", 0.05))]
-    for row in run_cells(cells):
-        table.add(**row)
+    for mode, budget in (("with_waiting", None), ("without_waiting", 0.05)):
+        table.add(**waiting_mode_cell(mode=mode, budget=budget, seed=43))
     return table
 
 
@@ -161,11 +154,8 @@ def ablation_hybrid_docker_then_k8s() -> Table:
         note="image cached on the shared EGS containerd",
         time_columns={"first_request", "steady_request"},
     )
-    cells = [Cell(fn=hybrid_cell, seed=47,
-                  kwargs=dict(strategy=strategy, seed=47))
-             for strategy in ("k8s_only", "hybrid_docker_then_k8s")]
-    for row in run_cells(cells):
-        table.add(**row)
+    for strategy in ("k8s_only", "hybrid_docker_then_k8s"):
+        table.add(**hybrid_cell(strategy=strategy, seed=47))
     return table
 
 
@@ -236,12 +226,10 @@ def ablation_schedulers(n_services: int = 6, clients_per_service: int = 3) -> Ta
         columns=["scheduler", "median", "p95", "near_deployments", "far_deployments"],
         note=f"{n_services} services x {clients_per_service} clients each",
     )
-    cells = [Cell(fn=scheduler_cell, seed=53,
-                  kwargs=dict(name=name, n_services=n_services,
-                              clients_per_service=clients_per_service, seed=53))
-             for name in ("proximity", "round-robin", "load-aware")]
-    for row in run_cells(cells):
-        table.add(**row)
+    for name in ("proximity", "round-robin", "load-aware"):
+        table.add(**scheduler_cell(name=name, n_services=n_services,
+                                   clients_per_service=clients_per_service,
+                                   seed=53))
     return table
 
 
@@ -280,9 +268,7 @@ def ablation_registry_cache() -> Table:
         ("nginx twice (warm cache)", False, ("nginx", "nginx")),
         ("nginx then nginx+py (shared base)", False, ("nginx", "nginx+py")),
     ]
-    cells = [Cell(fn=registry_cache_cell, seed=59,
-                  kwargs=dict(private=private, keys=keys, seed=59))
-             for _, private, keys in scenarios]
-    for (label, _, _), pull_s in zip(scenarios, run_cells(cells), strict=True):
-        table.add(scenario=label, pull_s=pull_s)
+    for label, private, keys in scenarios:
+        table.add(scenario=label,
+                  pull_s=registry_cache_cell(private=private, keys=keys, seed=59))
     return table

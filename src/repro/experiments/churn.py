@@ -19,7 +19,7 @@ Invariants recorded as CSV columns (both must be zero):
 * ``verify_violations`` — the full data-plane verifier (V1–V5) at quiesce.
 
 Cells are pure functions of their seed (same seed -> identical row), so the
-CSV is byte-identical across ``--jobs N``.
+CSV is byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 from random import Random
 from typing import Dict, Tuple
 
-from repro.experiments.pool import Cell, run_cells
 from repro.experiments.topologies import build_testbed
 from repro.metrics import Table
 
@@ -148,10 +147,7 @@ def c1_registry_churn(
         note="misdispatched = packet-in decision != live registry at probe "
              "time, plus unserved conversations; must be 0",
     )
-    cells = [Cell(fn=c1_churn_cell, seed=401,
-                  kwargs=dict(n_services=n_services, churn_ops=ops,
-                              clients=clients, seed=401))
-             for n_services, ops in tiers]
-    for row in run_cells(cells):
-        table.add(**row)
+    for n_services, ops in tiers:
+        table.add(**c1_churn_cell(n_services=n_services, churn_ops=ops,
+                                  clients=clients, seed=401))
     return table

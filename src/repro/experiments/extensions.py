@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.pool import Cell, run_cells
 from repro.experiments.topologies import build_testbed, request_service
 from repro.metrics import Table, summarize
 
@@ -66,17 +65,12 @@ def e1_serverless_vs_containers() -> Table:
         columns=["service", "wasm_s", "docker_s", "k8s_s", "wasm_speedup_vs_docker"],
         note="artifacts cached; created; nothing running (scale-up only)",
     )
-    cells = [Cell(fn=e1_cold_request_cell, seed=61,
-                  kwargs=dict(service_key=key, cluster_type=cluster_type,
-                              cluster_name=cluster_name, seed=61))
-             for key in EXT_SERVICES
-             for cluster_type, cluster_name, _ in E1_BACKENDS]
-    times = run_cells(cells)
-    per_backend = len(E1_BACKENDS)
-    for index, key in enumerate(EXT_SERVICES):
-        row: Dict[str, float] = {}
-        for offset, (_, _, column) in enumerate(E1_BACKENDS):
-            row[column] = times[index * per_backend + offset]
+    for key in EXT_SERVICES:
+        row: Dict[str, float] = {
+            column: e1_cold_request_cell(service_key=key,
+                                         cluster_type=cluster_type,
+                                         cluster_name=cluster_name, seed=61)
+            for cluster_type, cluster_name, column in E1_BACKENDS}
         table.add(service=key, wasm_s=row["wasm_s"], docker_s=row["docker_s"],
                   k8s_s=row["k8s_s"],
                   wasm_speedup_vs_docker=f"{row['docker_s'] / row['wasm_s']:.0f}x")
@@ -195,11 +189,8 @@ def e4_hierarchical_escape() -> Table:
         time_columns={"first_request_s", "later_request_s"},
         note="tight 50 ms budget; nothing running anywhere at t0",
     )
-    cells = [Cell(fn=e4_hierarchy_cell, seed=73,
-                  kwargs=dict(flavour=flavour, seed=73))
-             for flavour in ("proximity", "hierarchical")]
-    for row in run_cells(cells):
-        table.add(**row)
+    for flavour in ("proximity", "hierarchical"):
+        table.add(**e4_hierarchy_cell(flavour=flavour, seed=73))
     return table
 
 
@@ -274,12 +265,9 @@ def e5_autoscaling_under_load(
         note=f"{load_rps:.0f} rps of {request_cpu_s * 1e3:.0f} ms-CPU requests "
              f"for {duration_s:.0f}s; 1 pod handles ~{1 / request_cpu_s:.1f} rps",
     )
-    cells = [Cell(fn=e5_autoscaling_cell, seed=79,
-                  kwargs=dict(use_hpa=use_hpa, load_rps=load_rps,
-                              duration_s=duration_s, seed=79))
-             for use_hpa in (False, True)]
-    for row in run_cells(cells):
-        table.add(**row)
+    for use_hpa in (False, True):
+        table.add(**e5_autoscaling_cell(use_hpa=use_hpa, load_rps=load_rps,
+                                        duration_s=duration_s, seed=79))
     return table
 
 
@@ -353,12 +341,9 @@ def e3_proactive_deployment(period_s: float = 45.0, cycles: int = 8) -> Table:
         time_columns={"median_s", "p95_s"},
         note=f"request period {period_s:.0f}s > 30s idle scale-down",
     )
-    cells = [Cell(fn=e3_proactive_cell, seed=71,
-                  kwargs=dict(proactive=proactive, period_s=period_s,
-                              cycles=cycles, seed=71))
-             for proactive in (False, True)]
-    for row in run_cells(cells):
-        table.add(**row)
+    for proactive in (False, True):
+        table.add(**e3_proactive_cell(proactive=proactive, period_s=period_s,
+                                      cycles=cycles, seed=71))
     return table
 
 

@@ -16,9 +16,9 @@ DESIGN.md); these drivers measure the quantities a prototype evaluation of
   workload, against the FlowMemory size (the design that lets switch
   timeouts stay low).
 
-Every sweep point is an independently seeded *cell* (a top-level picklable
-function), so the sweeps fan out over :mod:`repro.experiments.pool` workers
-under ``--jobs N`` while producing byte-identical tables.
+Every sweep point is an independently seeded *cell*: a top-level function
+that builds its own testbed from its own seed and returns plain data, so a
+sweep is the cells called in sweep order.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.experiments.partb import replay_trace_through_controller
-from repro.experiments.pool import Cell, run_cells
 from repro.experiments.topologies import Testbed, build_testbed
 from repro.metrics import Table, summarize
 from repro.openflow import Match
@@ -80,11 +79,9 @@ def a1_edge_vs_cloud(cloud_rtts_s: Tuple[float, ...] = (0.010, 0.025, 0.050, 0.1
         columns=["cloud_rtt_ms", "edge_median", "cloud_median", "speedup"],
         note="median over warm requests; edge time independent of cloud RTT",
     )
-    cells = [Cell(fn=a1_cell, seed=21,
-                  kwargs=dict(cloud_rtt=cloud_rtt, requests=requests, seed=21))
-             for cloud_rtt in cloud_rtts_s]
-    for cloud_rtt, (edge_samples, cloud_samples) in zip(
-            cloud_rtts_s, run_cells(cells), strict=True):
+    for cloud_rtt in cloud_rtts_s:
+        edge_samples, cloud_samples = a1_cell(cloud_rtt=cloud_rtt,
+                                              requests=requests, seed=21)
         edge_median = summarize(edge_samples).median
         cloud_median = summarize(cloud_samples).median
         table.add(cloud_rtt_ms=f"{cloud_rtt * 1e3:.0f}",
@@ -150,13 +147,11 @@ def a2_first_packet_overhead(repeats: int = 9) -> Table:
         columns=["path", "median", "overhead_vs_fast"],
         note="overhead = median - fast-path median",
     )
-    cells = [Cell(fn=a2_cell, seed=23,
-                  kwargs=dict(use_memory=use_memory, repeats=repeats, seed=23))
-             for use_memory in (True, False)]
     samples: Dict[str, List[float]] = {"fast_path": [], "first_packet": [],
                                        "remiss_with_memory": [],
                                        "remiss_without_memory": []}
-    for cell_samples in run_cells(cells):
+    for use_memory in (True, False):
+        cell_samples = a2_cell(use_memory=use_memory, repeats=repeats, seed=23)
         for key, values in cell_samples.items():
             samples[key].extend(values)
 
@@ -212,11 +207,9 @@ def a2b_control_latency_sweep(
                  "overhead", "overhead_over_2rtt"],
         time_columns={"first_packet_median", "fast_path_median", "overhead"},
     )
-    cells = [Cell(fn=a2b_cell, seed=27,
-                  kwargs=dict(latency=latency, repeats=repeats, seed=27))
-             for latency in latencies_s]
-    for latency, (first_samples, fast_samples) in zip(
-            latencies_s, run_cells(cells), strict=True):
+    for latency in latencies_s:
+        first_samples, fast_samples = a2b_cell(latency=latency, repeats=repeats,
+                                               seed=27)
         first = summarize(first_samples).median
         fast = summarize(fast_samples).median
         overhead = first - fast
@@ -272,12 +265,9 @@ def a3_controller_scaling(
         columns=["concurrent", "median", "p95", "max", "packet_ins"],
         note=f"{n_services} registered services; single-threaded controller",
     )
-    cells = [Cell(fn=a3_cell, seed=29,
-                  kwargs=dict(concurrent=concurrent, n_services=n_services,
-                              seed=29))
-             for concurrent in concurrency_levels]
-    for concurrent, (samples, packet_ins) in zip(
-            concurrency_levels, run_cells(cells), strict=True):
+    for concurrent in concurrency_levels:
+        samples, packet_ins = a3_cell(concurrent=concurrent,
+                                      n_services=n_services, seed=29)
         stats = summarize(samples)
         table.add(concurrent=concurrent, median=stats.median, p95=stats.p95,
                   max=stats.maximum, packet_ins=packet_ins)
@@ -315,9 +305,8 @@ def a3_service_count_scaling(
         columns=["services", "first_packet_median"],
         note="one warm target service; the rest are registered but idle",
     )
-    cells = [Cell(fn=a3b_cell, seed=31, kwargs=dict(count=count, seed=31))
-             for count in service_counts]
-    for count, samples in zip(service_counts, run_cells(cells), strict=True):
+    for count in service_counts:
+        samples = a3b_cell(count=count, seed=31)
         table.add(services=count, first_packet_median=summarize(samples).median)
     return table
 
@@ -382,11 +371,8 @@ def a5_multiswitch_overhead(requests: int = 9) -> Table:
         columns=["fabric", "warm_median", "first_packet_median", "switches_programmed"],
         note="first packet = no flows anywhere, FlowMemory cleared",
     )
-    cells = [Cell(fn=a5_cell, seed=83,
-                  kwargs=dict(label=label, requests=requests, seed=83))
-             for label in ("single-switch", "access+core")]
-    for row in run_cells(cells):
-        table.add(**row)
+    for label in ("single-switch", "access+core"):
+        table.add(**a5_cell(label=label, requests=requests, seed=83))
     return table
 
 
@@ -441,11 +427,8 @@ def a6_scale(client_counts: Tuple[int, ...] = (1_000, 3_000, 10_000),
         note="each conversation is a new client (full slow path); "
              "switch idle 0.5s, FlowMemory idle 2s",
     )
-    cells = [Cell(fn=a6_cell, seed=97,
-                  kwargs=dict(clients=clients, window=window, seed=97))
-             for clients in client_counts]
-    for row in run_cells(cells):
-        table.add(**row)
+    for clients in client_counts:
+        table.add(**a6_cell(clients=clients, window=window, seed=97))
     return table
 
 
@@ -493,11 +476,8 @@ def a4_flowtable_occupancy(
                  "mean_memory", "packet_ins", "deployments"],
         note=f"{n_services} services, {total_requests} requests over {duration_s:.0f}s",
     )
-    cells = [Cell(fn=a4_cell, seed=37,
-                  kwargs=dict(idle_timeout_s=idle, n_services=n_services,
-                              total_requests=total_requests,
-                              duration_s=duration_s, trace_seed=77, seed=37))
-             for idle in idle_timeouts_s]
-    for row in run_cells(cells):
-        table.add(**row)
+    for idle in idle_timeouts_s:
+        table.add(**a4_cell(idle_timeout_s=idle, n_services=n_services,
+                            total_requests=total_requests,
+                            duration_s=duration_s, trace_seed=77, seed=37))
     return table

@@ -13,10 +13,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.edge.services import EDGE_SERVICE_CATALOG, service_table
-from repro.experiments.pool import Cell, run_cells
 from repro.experiments.topologies import Testbed, build_testbed
 from repro.metrics import Series, Table, summarize
-from repro.openflow import Match
 from repro.workloads.trace import ConversationTrace, bigflows_like_trace
 
 SERVICES = ("asm", "nginx", "resnet", "nginx+py")
@@ -130,7 +128,7 @@ def _prepull(tb: Testbed, cluster, svc):
     yield cluster.pull(svc.spec)
 
 
-#: parent-side memo: fig. 11/14 (and fig. 12/15) share identical cells
+#: in-process memo: fig. 11/14 (and fig. 12/15) share identical cells
 _CACHE: Dict[Tuple, Tuple[List[float], List[float]]] = {}
 
 
@@ -138,15 +136,12 @@ def _measured(service_key: str, cluster_type: str, cluster_name: str,
               repeats: int, create_each_run: bool):
     key = (service_key, cluster_type, repeats, create_each_run)
     if key not in _CACHE:
-        cells = [
-            Cell(fn=deployment_cell, seed=DEPLOYMENT_SEED + index,
-                 kwargs=dict(service_key=service_key, cluster_type=cluster_type,
-                             cluster_name=cluster_name,
-                             create_each_run=create_each_run,
-                             seed=DEPLOYMENT_SEED + index))
-            for index in range(repeats)
-        ]
-        pairs = run_cells(cells)
+        pairs = [deployment_cell(service_key=service_key,
+                                 cluster_type=cluster_type,
+                                 cluster_name=cluster_name,
+                                 create_each_run=create_each_run,
+                                 seed=DEPLOYMENT_SEED + index)
+                 for index in range(repeats)]
         _CACHE[key] = ([total for total, _ in pairs], [wait for _, wait in pairs])
     return _CACHE[key]
 
@@ -235,12 +230,10 @@ def fig13_pull_times() -> Table:
         columns=["service", "public_s", "private_s", "saving_s"],
         note="cold layer store per measurement",
     )
-    cells = [Cell(fn=pull_time_cell, seed=3,
-                  kwargs=dict(service_key=service_key, private=private, seed=3))
-             for service_key in SERVICES for private in (False, True)]
-    durations = run_cells(cells)
-    for index, service_key in enumerate(SERVICES):
-        public_s, private_s = durations[2 * index], durations[2 * index + 1]
+    for service_key in SERVICES:
+        public_s, private_s = (
+            pull_time_cell(service_key=service_key, private=private, seed=3)
+            for private in (False, True))
         table.add(service=service_key,
                   public_s=public_s, private_s=private_s,
                   saving_s=public_s - private_s)
@@ -284,15 +277,12 @@ def fig16_running_instance(requests: int = 15) -> Table:
         columns=["service", "docker_median", "k8s_median"],
         note=f"{requests} requests per cell, flows kept warm",
     )
-    cells = [Cell(fn=warm_requests_cell, seed=11,
-                  kwargs=dict(service_key=service_key, cluster_type=cluster_type,
-                              cluster_name=cluster_name, requests=requests,
-                              seed=11))
-             for service_key in SERVICES
-             for cluster_type, cluster_name in CLUSTERS]
-    sample_sets = run_cells(cells)
-    for index, service_key in enumerate(SERVICES):
-        docker_samples, k8s_samples = sample_sets[2 * index], sample_sets[2 * index + 1]
+    for service_key in SERVICES:
+        docker_samples, k8s_samples = (
+            warm_requests_cell(service_key=service_key, cluster_type=cluster_type,
+                               cluster_name=cluster_name, requests=requests,
+                               seed=11)
+            for cluster_type, cluster_name in CLUSTERS)
         table.add(service=service_key,
                   docker_median=summarize(docker_samples).median,
                   k8s_median=summarize(k8s_samples).median)

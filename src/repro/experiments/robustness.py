@@ -37,7 +37,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.resilience import BreakerConfig, RetryPolicy
-from repro.experiments.pool import Cell, run_cells
 from repro.experiments.topologies import Testbed, build_testbed
 from repro.metrics import Table
 from repro.metrics.failures import snapshot_failures
@@ -88,12 +87,9 @@ def r1_availability_vs_pull_failures(
         note="answered = HTTP 200 from edge (incl. after retries) or cloud; "
              "every round deletes images so each request pulls again",
     )
-    cells = [Cell(fn=r1_rate_cell, seed=seed,
-                  kwargs=dict(rate=rate, rounds=rounds, seed=seed,
-                              retry_policy=retry_policy))
-             for rate in rates]
-    for row in run_cells(cells):
-        table.add(**row)
+    for rate in rates:
+        table.add(**r1_rate_cell(rate=rate, rounds=rounds, seed=seed,
+                                 retry_policy=retry_policy))
     return table
 
 
@@ -168,13 +164,10 @@ def r2_breaker_outage_ablation(
              "before degrading to the cloud; with it only the tripping "
              "failures and probation probes do",
     )
-    cells = [Cell(fn=r2_breaker_cell, seed=seed,
-                  kwargs=dict(use_breaker=use_breaker, requests=requests,
-                              gap_s=gap_s, outage_at=outage_at,
-                              outage_s=outage_s, seed=seed))
-             for use_breaker in (True, False)]
-    for row in run_cells(cells):
-        table.add(**row)
+    for use_breaker in (True, False):
+        table.add(**r2_breaker_cell(use_breaker=use_breaker, requests=requests,
+                                    gap_s=gap_s, outage_at=outage_at,
+                                    outage_s=outage_s, seed=seed))
     return table
 
 
@@ -305,11 +298,9 @@ def r3_controller_crash_chaos(
              "client terminates and no flow serves a dead instance after "
              "the post-restart resync",
     )
-    cells = [Cell(fn=r3_crash_cell, seed=seed,
-                  kwargs=dict(crashes=crashes, n_clients=n_clients,
-                              window=window, seed=seed))
-             for crashes in crash_counts]
-    for row in run_cells(cells):
+    for crashes in crash_counts:
+        row = r3_crash_cell(crashes=crashes, n_clients=n_clients,
+                            window=window, seed=seed)
         row.pop("crashes_scheduled", None)
         row.pop("ctrl_drops_up", None)
         row.pop("ctrl_drops_down", None)
@@ -374,10 +365,8 @@ def r4_mixed_chaos_sweep(
         note="same invariants as R3; detections = controller-side heartbeat "
              "declarations of an unreachable switch",
     )
-    cells = [Cell(fn=r4_chaos_cell, seed=seed,
-                  kwargs=dict(seed=seed, n_clients=n_clients, window=window))
-             for seed in seeds]
-    for row in run_cells(cells):
+    for seed in seeds:
+        row = r4_chaos_cell(seed=seed, n_clients=n_clients, window=window)
         row["seed"] = row.pop("cell_seed")
         row.pop("clients", None)
         row.pop("crashes_scheduled", None)

@@ -9,18 +9,13 @@ Usage::
     python -m repro.experiments --part ext     # future-work extensions
     python -m repro.experiments --full         # paper-faithful 42 repeats
     python -m repro.experiments --out results.txt
-    python -m repro.experiments --jobs 4       # fan cells over 4 workers
     python -m repro.experiments --domains 4    # 4 domain workers (A7)
     python -m repro.experiments --only A7      # one artifact by name
-    python -m repro.experiments --no-cache     # always re-simulate
     python -m repro.experiments --profile      # cProfile per artifact → .pstats
 
-Parallelism never changes the numbers: cells are independently seeded and
-merged in seed order, so ``--jobs N`` output is byte-identical to serial,
-and domain-sharded scenarios merge deterministically, so ``--domains N``
-output is byte-identical to ``--domains 1`` (see docs/sharding.md).
-The on-disk cache (``--cache-dir``, default ``.repro-cache``) is keyed by a
-fingerprint of the ``repro`` source tree, so any code edit invalidates it.
+Every artifact is one deterministic serial computation in this process.
+Domain-sharded scenarios merge deterministically, so ``--domains N`` output
+is byte-identical to ``--domains 1`` (see docs/sharding.md).
 """
 
 from __future__ import annotations
@@ -32,10 +27,8 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.experiments import ablations, churn, extensions, parta, partb, robustness
 from repro.experiments import domains as domains_exp
-from repro.experiments.cache import DEFAULT_CACHE_DIR, ArtifactCache
-from repro.experiments.pool import pooled
-from repro.simcore.domains import domain_workers
 from repro.metrics import ArtifactTiming, RunReport, Series, Table, perf, render_series, render_table
+from repro.simcore.domains import domain_workers
 
 
 def _render(artifact) -> str:
@@ -123,24 +116,28 @@ def _csv_payload(artifact) -> str:
     return str(artifact)  # pragma: no cover - future artifact kinds
 
 
+def select(registry: List[Tuple[str, str, Callable]],
+           parts: Optional[List[str]] = None,
+           only: Optional[List[str]] = None) -> List[Tuple[str, str, Callable]]:
+    """The registry entries in ``parts`` (all parts when empty) and named in
+    ``only`` (all names when empty), in registry order."""
+    return [(part, name, driver) for part, name, driver in registry
+            if (not parts or part in parts) and (not only or name in only)]
+
+
 def run(parts: Optional[List[str]] = None, full: bool = False,
         out=None, csv_dir: Optional[str] = None,
-        jobs: int = 1, cache_dir: Optional[str] = None,
         profile: bool = False, domains: int = 1,
         only: Optional[List[str]] = None) -> int:
     """Regenerate the selected artifacts; returns the number regenerated.
 
     With ``csv_dir``, every Table/Series is also written as raw CSV for
-    downstream plotting. ``jobs > 1`` fans each driver's cells over that
-    many worker processes (output stays byte-identical to serial).
-    ``domains > 1`` runs domain-sharded scenarios (A7) over that many
-    lockstep worker processes — also byte-identical to serial.
+    downstream plotting. ``domains > 1`` runs domain-sharded scenarios (A7)
+    over that many lockstep worker processes (byte-identical to serial).
     ``only`` restricts to artifacts by exact name (e.g. ``["A7"]``).
-    ``cache_dir`` enables the content-addressed result cache there.
-    ``profile`` wraps each regenerated (non-cached) artifact in cProfile
-    and dumps ``<artifact>.pstats`` next to its CSV (or into the current
-    directory without ``csv_dir``); cells executed by pool workers are
-    outside the parent profile, so profile with ``jobs=1``.
+    ``profile`` wraps each artifact in cProfile and dumps
+    ``<artifact>.pstats`` next to its CSV (or into the current directory
+    without ``csv_dir``).
     """
     import cProfile
     import os
@@ -148,76 +145,48 @@ def run(parts: Optional[List[str]] = None, full: bool = False,
     stream = out if out is not None else sys.stdout
     if csv_dir is not None:
         os.makedirs(csv_dir, exist_ok=True)
-    repeats = 42 if full else 7
-    cache = ArtifactCache(cache_dir) if cache_dir is not None else None
-    report = RunReport(jobs=max(1, int(jobs)), cache_enabled=cache is not None)
+    report = RunReport()
     profiles: List[str] = []
-    count = 0
-    with pooled(jobs) as pool, domain_workers(domains):
-        for part, name, driver in artifact_registry(full):
-            if parts and part not in parts:
-                continue
-            if only and name not in only:
-                continue
+    with domain_workers(domains):
+        for part, name, driver in select(artifact_registry(full), parts, only):
             # Real wall/CPU time of regenerating the artifact (reporting
             # only; never feeds back into any simulation).
             started = time.perf_counter()  # repro: noqa[REP001] host-side timing
             cpu_started = time.process_time()  # repro: noqa[REP001] host-side timing
-            cells_before = pool.cells_run
-            worker_cpu_before = pool.worker_cpu_s
-            worker_perf_before = pool.worker_perf
             perf_before = perf.snapshot()
-            cached = cache.load(part, name, repeats) if cache is not None else None
-            if cached is not None:
-                rendered = cached["render"]
-                payload = cached["csv"]
+            if profile:
+                profiler = cProfile.Profile()
+                artifact = profiler.runcall(driver)
+                pstats_path = os.path.join(
+                    csv_dir if csv_dir is not None else ".",
+                    _csv_name(f"{part}_{name}")[:-len(".csv")] + ".pstats")
+                profiler.dump_stats(pstats_path)
+                profiles.append(pstats_path)
             else:
-                if profile:
-                    profiler = cProfile.Profile()
-                    artifact = profiler.runcall(driver)
-                    pstats_path = os.path.join(
-                        csv_dir if csv_dir is not None else ".",
-                        _csv_name(f"{part}_{name}")[:-len(".csv")] + ".pstats")
-                    profiler.dump_stats(pstats_path)
-                    profiles.append(pstats_path)
-                else:
-                    artifact = driver()
-                rendered = _render(artifact)
-                payload = _csv_payload(artifact)
-                if cache is not None:
-                    cache.store(part, name, repeats, render=rendered, csv=payload)
+                artifact = driver()
             elapsed = time.perf_counter() - started  # repro: noqa[REP001] host-side timing
-            cpu_s = (time.process_time() - cpu_started  # repro: noqa[REP001] host-side timing
-                     + pool.worker_cpu_s - worker_cpu_before)
-            if cached is not None:
-                header = f"\n### [{part}] {name}  (cache hit)\n"
-            else:
-                header = f"\n### [{part}] {name}  (regenerated in {elapsed:.1f}s wall)\n"
-            print(header, file=stream)
-            print(rendered, file=stream)
+            cpu_s = time.process_time() - cpu_started  # repro: noqa[REP001] host-side timing
+            print(f"\n### [{part}] {name}  (regenerated in {elapsed:.1f}s wall)\n",
+                  file=stream)
+            print(_render(artifact), file=stream)
             if csv_dir is not None:
                 path = os.path.join(csv_dir, _csv_name(f"{part}_{name}"))
                 with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-            report.add(ArtifactTiming(
-                part=part, name=name, wall_s=elapsed, cpu_s=cpu_s,
-                cells=pool.cells_run - cells_before,
-                cache_hit=cached is not None,
-                perf=perf.delta(perf_before) + (pool.worker_perf - worker_perf_before)))
-            count += 1
-    if cache is not None:
-        report.cache_stores = cache.stores
-    if count:
+                    handle.write(_csv_payload(artifact))
+            report.add(ArtifactTiming(part=part, name=name, wall_s=elapsed,
+                                      cpu_s=cpu_s, perf=perf.delta(perf_before)))
+    if report.artifacts:
         print(f"\n{report.render()}", file=stream)
     if profiles:
         print(f"\nprofiles ({len(profiles)}, inspect with "
               f"`python -m pstats <path>`):", file=stream)
         for path in profiles:
             print(f"  {path}", file=stream)
-    return count
+    return report.artifacts
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    names = [name for _, name, _ in artifact_registry(full=False)]
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.")
@@ -232,38 +201,31 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write to a file instead of stdout")
     parser.add_argument("--csv-dir", type=str, default=None,
                         help="also dump every artifact as raw CSV here")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan experiment cells over N worker processes "
-                             "(output is byte-identical to serial)")
     parser.add_argument("--domains", type=int, default=1, metavar="N",
                         help="run domain-sharded scenarios (A7) over N "
                              "lockstep worker processes (output is "
                              "byte-identical to serial)")
     parser.add_argument("--only", type=str, action="append", metavar="NAME",
+                        choices=names,
                         help="restrict to artifacts by exact name, e.g. "
                              "--only A7 (repeatable)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and don't populate the result cache")
     parser.add_argument("--profile", action="store_true",
-                        help="cProfile each regenerated artifact and dump "
-                             "<artifact>.pstats next to its CSV (implies "
-                             "--no-cache so there is work to profile; use "
-                             "with --jobs 1 to capture cell work)")
-    parser.add_argument("--cache-dir", type=str, default=DEFAULT_CACHE_DIR,
-                        help="result cache location (default: %(default)s)")
+                        help="cProfile each artifact and dump "
+                             "<artifact>.pstats next to its CSV")
     args = parser.parse_args(argv)
-    cache_dir = None if (args.no_cache or args.profile) else args.cache_dir
+    if not select(artifact_registry(args.full), args.parts, args.only):
+        parser.error("empty selection: no artifact of --part "
+                     f"{', '.join(args.parts or [])} is named by --only "
+                     f"{', '.join(args.only or [])}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             count = run(args.parts, args.full, out=handle, csv_dir=args.csv_dir,
-                        jobs=args.jobs, cache_dir=cache_dir,
                         profile=args.profile, domains=args.domains,
                         only=args.only)
         print(f"wrote {count} artifacts to {args.out}")
     else:
         count = run(args.parts, args.full, csv_dir=args.csv_dir,
-                    jobs=args.jobs, cache_dir=cache_dir, profile=args.profile,
-                    domains=args.domains, only=args.only)
+                    profile=args.profile, domains=args.domains, only=args.only)
     return 0 if count else 1
 
 

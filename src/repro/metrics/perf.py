@@ -7,9 +7,9 @@ per regenerated artifact, how much simulation work it cost — without
 holding references to every simulator, table, and switch a driver builds.
 
 The counters are observability only: nothing in any simulation reads them
-back, so they cannot perturb determinism. Worker processes carry their own
-instance; :mod:`repro.experiments.pool` snapshots it around each cell and
-ships the delta back to the parent with the cell result.
+back, so they cannot perturb determinism. Each process carries its own
+instance; the lockstep domain workers snapshot theirs around each domain's
+work and ship the delta back to the parent with the domain's results.
 """
 
 from __future__ import annotations

@@ -95,7 +95,7 @@ def created_simulators() -> List[Simulator]:
 
 
 # ---------------------------------------------------------------------------
-# --domains N plumbing (mirrors repro.experiments.pool's active-pool idiom)
+# --domains N plumbing: a process-wide worker count set for a block
 # ---------------------------------------------------------------------------
 
 #: how many domain worker processes lockstep scenarios should use;

@@ -24,8 +24,7 @@ Determinism is by construction, not by luck:
 
 The outcome of a run is therefore **byte-identical** across
 ``processes=1`` (serial, in-process) and ``processes=N`` (persistent
-worker processes over pipes, reusing the start-method choice of
-:mod:`repro.experiments.pool`) — the same bar ``--jobs N`` set in PR 3.
+worker processes over pipes).
 """
 
 from __future__ import annotations
@@ -230,8 +229,8 @@ class SerialExecutor:
 
 
 def _start_method() -> str:
-    """Same preference as :mod:`repro.experiments.pool`: fork where the
-    platform has it (cheap, inherits the warm import state), else spawn."""
+    """Fork where the platform has it (cheap, inherits the warm import
+    state), else spawn."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 
@@ -241,9 +240,8 @@ def _domain_worker_main(conn: Any, specs: Tuple[DomainSpec, ...],
     """Worker loop: build the assigned domains once, then serve
     advance/finalize requests until told to close.
 
-    Unlike :class:`~repro.experiments.pool.CellPool` workers (stateless,
-    one cell per task), domain workers are *stateful*: the built domains
-    live here across every epoch of the run.
+    Domain workers are *stateful*: the built domains live here across
+    every epoch of the run.
     """
     try:
         runtimes = [DomainRuntime(spec, n_domains) for spec in specs]

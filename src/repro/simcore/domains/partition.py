@@ -10,8 +10,8 @@ processes), which is why output is byte-identical across N.
 
 Builders are top-level callables taking ``(domain_id, n_domains, seed,
 **kwargs)`` and returning a :class:`DomainModel`; keeping them picklable
-by reference (same contract as :class:`repro.experiments.pool.Cell`)
-lets the process executor rebuild each domain inside its worker.
+by reference lets the process executor rebuild each domain inside its
+worker.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
-"""The runner's per-artifact runtime/cache accounting."""
+"""The runner's per-artifact runtime accounting."""
 
 from repro.metrics import ArtifactTiming, RunReport
+from repro.metrics.perf import PerfCounters
 
 
 def _report():
-    report = RunReport(jobs=4, cache_enabled=True, cache_stores=1)
+    report = RunReport()
     report.add(ArtifactTiming(part="a", name="A1", wall_s=2.0, cpu_s=6.0,
-                              cells=8, cache_hit=False))
+                              perf=PerfCounters(events_executed=10)))
     report.add(ArtifactTiming(part="b", name="Fig. 11", wall_s=0.1, cpu_s=0.0,
-                              cells=0, cache_hit=True))
+                              perf=PerfCounters(events_executed=5)))
     return report
 
 
@@ -16,23 +17,18 @@ class TestRunReport:
     def test_aggregates(self):
         report = _report()
         assert report.artifacts == 2
-        assert report.cache_hits == 1
-        assert report.cache_misses == 1
         assert report.total_wall_s == 2.1
         assert report.total_cpu_s == 6.0
-        assert report.total_cells == 8
+        assert report.total_perf.events_executed == 15
 
     def test_table_rows_and_note(self):
         table = _report().as_table()
         assert [row["artifact"] for row in table.rows] == ["A1", "Fig. 11"]
-        assert [row["cache"] for row in table.rows] == ["miss", "hit"]
-        assert "jobs=4" in table.note
-        assert "1 hits / 1 misses / 1 stores" in table.note
-
-    def test_disabled_cache_note(self):
-        report = RunReport(jobs=1, cache_enabled=False)
-        report.add(ArtifactTiming(part="a", name="A1", wall_s=1.0, cpu_s=1.0))
-        assert "cache: disabled" in report.as_table().note
+        assert [row["events"] for row in table.rows] == [10, 5]
+        assert table.columns == ["part", "artifact", "wall_s", "cpu_s",
+                                 "events", "lookups"]
+        assert "2 artifacts in 2.1s wall / 6.0s CPU" in table.note
+        assert "15 sim events" in table.note
 
     def test_render_is_a_table(self):
         assert "Runner summary" in _report().render()

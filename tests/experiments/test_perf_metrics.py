@@ -1,31 +1,14 @@
 """Hot-path perf counters: process-global accounting and runner wiring.
 
 ``repro.metrics.perf`` aggregates simulator events and flow-table lookups
-process-wide; the pool ships worker deltas back with
-cell results; the runner attaches a per-artifact delta to its summary.
+process-wide; the runner attaches a per-artifact delta to its summary.
 """
 
-import multiprocessing
-
-import pytest
-
-from repro.experiments.pool import Cell, pooled, run_cells
 from repro.metrics import perf
 from repro.metrics.perf import PerfCounters
 from repro.metrics.runtime import ArtifactTiming, RunReport
 from repro.openflow import FlowEntry, FlowTable, Match, OutputAction
 from repro.simcore import Simulator
-
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-
-def sim_cell(events: int, seed: int = 0) -> int:
-    """Top-level (picklable) cell: run ``events`` no-op events."""
-    sim = Simulator()
-    for i in range(events):
-        sim.schedule(i * 1e-3, lambda: None)
-    sim.run()
-    return sim.events_executed
 
 
 class TestPerfCounters:
@@ -95,28 +78,11 @@ class TestGlobalAccounting:
         assert delta.flow_hits == 1
 
 
-class TestPoolWiring:
-    def test_serial_cells_land_in_parent_counters(self):
-        before = perf.snapshot()
-        results = run_cells([Cell(fn=sim_cell, kwargs=dict(events=10), seed=s)
-                             for s in range(3)])
-        assert results == [10, 10, 10]
-        assert perf.delta(before).events_executed >= 30
-
-    @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-    def test_parallel_cells_ship_worker_deltas(self):
-        with pooled(2) as pool:
-            results = run_cells([Cell(fn=sim_cell, kwargs=dict(events=10), seed=s)
-                                 for s in range(4)])
-            assert results == [10] * 4
-            assert pool.worker_perf.events_executed >= 40
-
-
 class TestRunReportColumns:
     def test_summary_carries_perf_columns(self):
-        report = RunReport(jobs=1)
+        report = RunReport()
         report.add(ArtifactTiming(
-            part="a", name="A-test", wall_s=0.1, cpu_s=0.1, cells=2,
+            part="a", name="A-test", wall_s=0.1, cpu_s=0.1,
             perf=PerfCounters(events_executed=123, flow_lookups=7)))
         rendered = report.render()
         assert "events" in rendered and "123" in rendered

@@ -1,13 +1,10 @@
 """Tests for the artifact runner CLI and quick driver sanity checks."""
 
 import io
-import multiprocessing
-import os
 
 import pytest
 
 from repro.experiments import parta, partb
-from repro.experiments import runner as runner_module
 from repro.experiments.runner import (
     _check_csv_collisions,
     _csv_name,
@@ -16,8 +13,6 @@ from repro.experiments.runner import (
     run,
 )
 from repro.metrics import Series, Table
-
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 class TestRegistry:
@@ -50,14 +45,28 @@ class TestRun:
 
     def test_main_with_out_file(self, tmp_path):
         out = tmp_path / "artifacts.txt"
-        code = main(["--part", "b", "--out", str(out),
-                     "--cache-dir", str(tmp_path / "cache")])
+        code = main(["--part", "b", "--out", str(out)])
         assert code == 0
         assert "Fig. 11" in out.read_text()
 
     def test_main_invalid_part_rejected(self):
         with pytest.raises(SystemExit):
             main(["--part", "zzz"])
+
+    def test_main_unknown_only_name_lists_the_valid_names(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--only", "A8"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "'A8'" in error
+        for _, name, _ in artifact_registry(full=False):
+            assert repr(name) in error
+
+    def test_main_empty_selection_is_an_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--part", "a", "--only", "Fig. 9"])
+        assert exit_info.value.code == 2
+        assert "empty selection" in capsys.readouterr().err
 
 
 class TestCsvNameCollision:
@@ -79,74 +88,6 @@ class TestCsvNameCollision:
         entries = [("a", "A-1", lambda: None), ("a", "A 1", lambda: None)]
         with pytest.raises(ValueError, match="A-1"):
             _check_csv_collisions(entries)
-
-
-def _tiny_registry(full):
-    """One fast artifact so runner-level tests don't simulate for seconds."""
-    def driver():
-        table = Table(title="Tiny", columns=["k", "v"], time_columns=set())
-        table.add(k="alpha", v=1)
-        table.add(k="beta", v=2)
-        return table
-    return [("a", "Tiny", driver)]
-
-
-class TestRunnerCache:
-    def test_second_run_hits_and_output_matches(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(runner_module, "artifact_registry", _tiny_registry)
-        cache_dir = str(tmp_path / "cache")
-        csv_cold = tmp_path / "csv-cold"
-        csv_warm = tmp_path / "csv-warm"
-        cold = io.StringIO()
-        assert run(parts=["a"], out=cold, csv_dir=str(csv_cold),
-                   cache_dir=cache_dir) == 1
-        warm = io.StringIO()
-        assert run(parts=["a"], out=warm, csv_dir=str(csv_warm),
-                   cache_dir=cache_dir) == 1
-        assert "regenerated" in cold.getvalue()
-        assert "cache hit" not in cold.getvalue()
-        assert "cache hit" in warm.getvalue()
-        assert (csv_cold / "a_tiny.csv").read_bytes() == \
-            (csv_warm / "a_tiny.csv").read_bytes()
-
-    def test_no_cache_dir_never_writes_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(runner_module, "artifact_registry", _tiny_registry)
-        run(parts=["a"], out=io.StringIO(), cache_dir=None)
-        assert not os.path.exists(str(tmp_path / ".repro-cache"))
-
-    def test_summary_reports_cache_counts(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(runner_module, "artifact_registry", _tiny_registry)
-        cache_dir = str(tmp_path / "cache")
-        run(parts=["a"], out=io.StringIO(), cache_dir=cache_dir)
-        warm = io.StringIO()
-        run(parts=["a"], out=warm, cache_dir=cache_dir)
-        assert "cache: 1 hits / 0 misses / 0 stores" in warm.getvalue()
-
-    def test_main_no_cache_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(runner_module, "artifact_registry", _tiny_registry)
-        monkeypatch.chdir(tmp_path)
-        out = tmp_path / "out.txt"
-        assert main(["--part", "a", "--no-cache", "--out", str(out)]) == 0
-        assert not (tmp_path / ".repro-cache").exists()
-        assert main(["--part", "a", "--out", str(out)]) == 0
-        assert (tmp_path / ".repro-cache").is_dir()
-
-
-@pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-class TestParallelMatchesSerial:
-    def test_part_a_csvs_byte_identical(self, tmp_path):
-        """The tentpole gate: --jobs N CSV output is byte-for-byte the
-        serial output (deterministic seed-order merging)."""
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        run(parts=["a"], out=io.StringIO(), csv_dir=str(serial_dir), jobs=1)
-        run(parts=["a"], out=io.StringIO(), csv_dir=str(parallel_dir), jobs=2)
-        names = sorted(os.listdir(serial_dir))
-        assert names == sorted(os.listdir(parallel_dir))
-        assert names  # the part actually produced CSVs
-        for name in names:
-            assert (serial_dir / name).read_bytes() == \
-                (parallel_dir / name).read_bytes(), name
 
 
 class TestDriverContracts:

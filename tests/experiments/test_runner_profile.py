@@ -4,7 +4,7 @@ import io
 import pstats
 
 import repro.experiments.runner as runner_module
-from repro.experiments.runner import main, run
+from repro.experiments.runner import run
 from repro.metrics import Table
 
 
@@ -50,15 +50,3 @@ class TestProfileFlag:
         run(parts=["a"], out=out, csv_dir=str(tmp_path / "csv"))
         assert "profiles" not in out.getvalue()
         assert not list((tmp_path / "csv").glob("*.pstats"))
-
-    def test_main_profile_implies_no_cache(self, tmp_path, monkeypatch):
-        """--profile must regenerate (a cache hit would leave nothing to
-        profile) and so never touches the cache directory."""
-        monkeypatch.setattr(runner_module, "artifact_registry", _tiny_registry)
-        monkeypatch.chdir(tmp_path)
-        out = tmp_path / "out.txt"
-        assert main(["--part", "a", "--profile", "--csv-dir", "csv",
-                     "--out", str(out)]) == 0
-        assert not (tmp_path / ".repro-cache").exists()
-        assert (tmp_path / "csv" / "a_tiny.pstats").is_file()
-        assert "profiles (1" in out.read_text()

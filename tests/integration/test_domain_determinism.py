@@ -27,7 +27,7 @@ def _run_a7(tmp_path, tag: str, *, domains: int = 1,
         p for p in ("src", env.get("PYTHONPATH", "")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "repro.experiments", "--only", "A7",
-         "--no-cache", "--domains", str(domains), "--csv-dir", str(csv_dir)],
+         "--domains", str(domains), "--csv-dir", str(csv_dir)],
         capture_output=True, text=True, env=env, timeout=600)
     assert result.returncode == 0, result.stderr
     payload = (csv_dir / CSV_NAME).read_bytes()
