@@ -30,6 +30,11 @@ Checks
 * **RNG draw-count ledger** — every draw on a named stream is counted, so a
   determinism diff can name the stream that diverged instead of just
   "the traces differ".
+* **Copy-on-rewrite** — every field of the seven packet classes
+  (:mod:`repro.netsim.packet`) is write-once: a store to a field that
+  already holds a value raises, so code that mutates a built packet
+  instead of copying it fails where it does so. Off, the classes keep
+  their plain slot stores.
 * **Post-resync data-plane verification** — after every completed
   crash-recovery/revival resync round, the static verifier
   (:mod:`repro.verify`, docs/verification.md) re-checks invariants V1–V5
@@ -63,6 +68,9 @@ VERIFY_GRACE_S = 0.25
 
 _active: Optional["Sanitizer"] = None
 
+#: marks a patched attribute the class inherited rather than defined
+_INHERITED = object()
+
 
 def active_sanitizer() -> Optional["Sanitizer"]:
     """The currently installed sanitizer, or None."""
@@ -94,7 +102,7 @@ class Sanitizer:
     # ------------------------------------------------------------- install
 
     def _patch(self, cls: type, name: str, wrapper: Callable[..., Any]) -> None:
-        self._originals[(cls, name)] = getattr(cls, name)
+        self._originals[(cls, name)] = vars(cls).get(name, _INHERITED)
         setattr(cls, name, wrapper)
 
     def install(self) -> "Sanitizer":
@@ -112,6 +120,7 @@ class Sanitizer:
         self._install_rng(RandomStreams)
         self._install_flowmemory(FlowMemory)
         self._install_controller(TransparentEdgeController)
+        self._install_packets()
         self.installed = True
         _active = self
         return self
@@ -121,7 +130,10 @@ class Sanitizer:
         if not self.installed:
             return
         for (cls, name), original in self._originals.items():
-            setattr(cls, name, original)
+            if original is _INHERITED:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, original)
         self._originals.clear()
         self.installed = False
         if _active is self:
@@ -254,6 +266,25 @@ class Sanitizer:
                 f"reference counts {memory._refs!r} are not a recount of "
                 f"the live flows {recount!r}")
 
+
+    # ------------------------------------------------------ copy on rewrite
+
+    def _install_packets(self) -> None:
+        from repro.netsim import packet
+
+        store = object.__setattr__
+
+        def __setattr__(layer: Any, name: str, value: Any) -> None:
+            if name in layer.__slots__ and hasattr(layer, name):
+                raise SanitizerError(
+                    f"copy-on-rewrite: store to {type(layer).__name__}.{name} "
+                    f"of a built packet — rewrites must copy the layer")
+            store(layer, name, value)
+
+        for cls in (packet.HTTPRequest, packet.HTTPResponse, packet.TCPSegment,
+                    packet.UDPDatagram, packet.IPv4Packet, packet.ArpPacket,
+                    packet.EthernetFrame):
+            self._patch(cls, "__setattr__", __setattr__)
 
     # ------------------------------------------- post-resync verification
 

@@ -24,7 +24,7 @@ docs/registry.md.
 :meth:`ServiceRegistry.generation_of` refines the global counter into a
 *per-key* revalidation token, so a memo entry for one service identity
 would survive churn on every other one (docs/performance.md,
-"Revalidation"). Its one consumer, the controller's service memo, was
+"Measured and dropped"). Its one consumer, the controller's service memo, was
 deleted; the performance ledger still reports the token, so it stays.
 """
 

@@ -21,6 +21,7 @@ is byte-identical to ``--domains 1`` (see docs/sharding.md).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Callable, List, Optional, Tuple
@@ -125,6 +126,13 @@ def select(registry: List[Tuple[str, str, Callable]],
             if (not parts or part in parts) and (not only or name in only)]
 
 
+def _cpu_s() -> float:
+    """CPU seconds of this process plus those of its joined children."""
+    children = os.times()
+    return (time.process_time()  # repro: noqa[REP001] host-side timing
+            + children.children_user + children.children_system)
+
+
 def run(parts: Optional[List[str]] = None, full: bool = False,
         out=None, csv_dir: Optional[str] = None,
         profile: bool = False, domains: int = 1,
@@ -140,7 +148,6 @@ def run(parts: Optional[List[str]] = None, full: bool = False,
     without ``csv_dir``).
     """
     import cProfile
-    import os
 
     stream = out if out is not None else sys.stdout
     if csv_dir is not None:
@@ -150,9 +157,11 @@ def run(parts: Optional[List[str]] = None, full: bool = False,
     with domain_workers(domains):
         for part, name, driver in select(artifact_registry(full), parts, only):
             # Real wall/CPU time of regenerating the artifact (reporting
-            # only; never feeds back into any simulation).
+            # only; never feeds back into any simulation). The CPU time
+            # includes the lockstep workers', which are joined before the
+            # artifact returns.
             started = time.perf_counter()  # repro: noqa[REP001] host-side timing
-            cpu_started = time.process_time()  # repro: noqa[REP001] host-side timing
+            cpu_started = _cpu_s()
             perf_before = perf.snapshot()
             if profile:
                 profiler = cProfile.Profile()
@@ -165,7 +174,7 @@ def run(parts: Optional[List[str]] = None, full: bool = False,
             else:
                 artifact = driver()
             elapsed = time.perf_counter() - started  # repro: noqa[REP001] host-side timing
-            cpu_s = time.process_time() - cpu_started  # repro: noqa[REP001] host-side timing
+            cpu_s = _cpu_s() - cpu_started
             print(f"\n### [{part}] {name}  (regenerated in {elapsed:.1f}s wall)\n",
                   file=stream)
             print(_render(artifact), file=stream)

@@ -1,14 +1,15 @@
 """Typed packet model: Ethernet / ARP / IPv4 / TCP / UDP + HTTP payloads.
 
-Packets are frozen, slotted dataclasses, layered by composition
+Packets are plain slotted dataclasses, layered by composition
 (``EthernetFrame.payload`` is an :class:`ArpPacket` or :class:`IPv4Packet`,
 and so on). The OpenFlow rewrite actions produce *copies*, never mutate in
 place — a frame in flight may be referenced from several queues (switch
-buffer, controller, trace log).
+buffer, controller, trace log). The runtime sanitizer
+(:mod:`repro.analysis.sanitizer`) checks this by making fields write-once.
 
 :meth:`EthernetFrame.rewrite_headers` applies one row of set-field writes
 in one call, bypassing ``__init__``/``dataclasses.replace`` —
-``object.__new__`` plus direct slot stores, inline for every layer. On the
+``object.__new__`` plus plain slot stores, inline for every layer. On the
 forwarding hot path a multi-field NAT rewrite then costs one new object per
 *mutated* layer instead of a full ``replace()`` reconstruction per field.
 
@@ -44,7 +45,12 @@ _ETH_IP_TCP_HEADER_BYTES = ETH_HEADER_BYTES + IP_HEADER_BYTES + TCP_HEADER_BYTES
 TCP_MSS = 1460
 
 _new = object.__new__
-_set = object.__setattr__
+
+
+def _reduce_fields(layer: Any) -> Tuple[Any, ...]:
+    # Rebuild through the constructor: a slotted dataclass that is not
+    # frozen has no ``__getstate__``, which pickle protocols 0 and 1 need.
+    return (type(layer), tuple(getattr(layer, name) for name in layer.__slots__))
 
 
 class TCPFlags(enum.IntFlag):
@@ -66,7 +72,7 @@ TCP_FIN_ACK = TCPFlags.FIN | TCPFlags.ACK
 TCP_RST_ACK = TCPFlags.RST | TCPFlags.ACK
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HTTPRequest:
     """An HTTP request as carried by the application layer.
 
@@ -75,6 +81,7 @@ class HTTPRequest:
     arbitrary Python object for the server handler to inspect.
     """
 
+    __reduce__ = _reduce_fields
     method: str = "GET"
     path: str = "/"
     host: str = ""
@@ -87,10 +94,11 @@ class HTTPRequest:
         return self.headers_bytes + self.body_bytes
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HTTPResponse:
     """An HTTP response."""
 
+    __reduce__ = _reduce_fields
     status: int = 200
     body_bytes: int = 0
     body: Any = None
@@ -105,7 +113,7 @@ class HTTPResponse:
         return self.headers_bytes + self.body_bytes
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TCPSegment:
     """One TCP segment.
 
@@ -113,6 +121,7 @@ class TCPSegment:
     ``payload_bytes`` its on-wire size contribution for this segment.
     """
 
+    __reduce__ = _reduce_fields
     src_port: int
     dst_port: int
     seq: int = 0
@@ -132,10 +141,11 @@ class TCPSegment:
         return int(self.flags) & int(flag) != 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UDPDatagram:
     """One UDP datagram."""
 
+    __reduce__ = _reduce_fields
     src_port: int
     dst_port: int
     payload: Any = None
@@ -146,10 +156,11 @@ class UDPDatagram:
         return UDP_HEADER_BYTES + self.payload_bytes
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IPv4Packet:
     """An IPv4 packet carrying TCP or UDP."""
 
+    __reduce__ = _reduce_fields
     src: IPv4
     dst: IPv4
     proto: int
@@ -166,10 +177,11 @@ class ArpOp(enum.IntEnum):
     REPLY = 2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ArpPacket:
     """An ARP request or reply."""
 
+    __reduce__ = _reduce_fields
     op: ArpOp
     sender_mac: MAC
     sender_ip: IPv4
@@ -181,7 +193,7 @@ class ArpPacket:
         return ARP_BODY_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EthernetFrame:
     """The layer-2 frame that actually traverses links.
 
@@ -189,8 +201,8 @@ class EthernetFrame:
     and every switch touch reads it as a plain attribute. The hand-written
     ``__init__`` stores it without a ``__post_init__`` call,
     :meth:`rewrite_headers` copies it, and everything that builds a frame
-    from its fields — :meth:`rewrite`, ``dataclasses.replace``, ``copy``
-    and pickle (via ``__reduce__``) — recomputes it.
+    from its fields — ``dataclasses.replace``, ``copy`` and pickle (via
+    ``__reduce__``) — recomputes it.
     """
 
     src: MAC
@@ -201,28 +213,19 @@ class EthernetFrame:
 
     def __init__(self, src: MAC, dst: MAC, ethertype: int,
                  payload: Union[ArpPacket, IPv4Packet]) -> None:
-        _set(self, "src", src)
-        _set(self, "dst", dst)
-        _set(self, "ethertype", ethertype)
-        _set(self, "payload", payload)
+        self.src = src
+        self.dst = dst
+        self.ethertype = ethertype
+        self.payload = payload
         # Nearly every frame is TCP over IPv4: size that shape inline
         # instead of one call per layer.
         if type(payload) is IPv4Packet and type(payload.payload) is TCPSegment:
-            _set(self, "wire_bytes", _ETH_IP_TCP_HEADER_BYTES + payload.payload.payload_bytes)
+            self.wire_bytes = _ETH_IP_TCP_HEADER_BYTES + payload.payload.payload_bytes
         else:
-            _set(self, "wire_bytes", ETH_HEADER_BYTES + payload.wire_bytes)
+            self.wire_bytes = ETH_HEADER_BYTES + payload.wire_bytes
 
     def __reduce__(self) -> tuple:
         return (EthernetFrame, (self.src, self.dst, self.ethertype, self.payload))
-
-    def rewrite(self, src: Optional[MAC] = None, dst: Optional[MAC] = None,
-                payload: Optional[Union[ArpPacket, IPv4Packet]] = None,
-                ) -> "EthernetFrame":
-        """Copy with the given header field(s)/payload changed, built
-        through ``__init__`` and so sized anew."""
-        return EthernetFrame(self.src if src is None else src,
-                             self.dst if dst is None else dst,
-                             self.ethertype, self.payload if payload is None else payload)
 
     def rewrite_headers(self, writes: Tuple[Any, ...]) -> "EthernetFrame":
         """One row of OpenFlow set-field writes as one copy per changed layer.
@@ -244,36 +247,36 @@ class EthernetFrame:
             if type(old_l4) is TCPSegment:
                 if tcp_src is not None or tcp_dst is not None:
                     l4 = _new(TCPSegment)
-                    _set(l4, "src_port", old_l4.src_port if tcp_src is None else tcp_src)
-                    _set(l4, "dst_port", old_l4.dst_port if tcp_dst is None else tcp_dst)
-                    _set(l4, "seq", old_l4.seq)
-                    _set(l4, "ack", old_l4.ack)
-                    _set(l4, "flags", old_l4.flags)
-                    _set(l4, "payload", old_l4.payload)
-                    _set(l4, "payload_bytes", old_l4.payload_bytes)
-                    _set(l4, "last_fragment", old_l4.last_fragment)
+                    l4.src_port = old_l4.src_port if tcp_src is None else tcp_src
+                    l4.dst_port = old_l4.dst_port if tcp_dst is None else tcp_dst
+                    l4.seq = old_l4.seq
+                    l4.ack = old_l4.ack
+                    l4.flags = old_l4.flags
+                    l4.payload = old_l4.payload
+                    l4.payload_bytes = old_l4.payload_bytes
+                    l4.last_fragment = old_l4.last_fragment
             elif type(old_l4) is UDPDatagram:
                 if udp_src is not None or udp_dst is not None:
                     l4 = _new(UDPDatagram)
-                    _set(l4, "src_port", old_l4.src_port if udp_src is None else udp_src)
-                    _set(l4, "dst_port", old_l4.dst_port if udp_dst is None else udp_dst)
-                    _set(l4, "payload", old_l4.payload)
-                    _set(l4, "payload_bytes", old_l4.payload_bytes)
+                    l4.src_port = old_l4.src_port if udp_src is None else udp_src
+                    l4.dst_port = old_l4.dst_port if udp_dst is None else udp_dst
+                    l4.payload = old_l4.payload
+                    l4.payload_bytes = old_l4.payload_bytes
             if ipv4_src is not None or ipv4_dst is not None or l4 is not old_l4:
                 packet = _new(IPv4Packet)
-                _set(packet, "src", payload.src if ipv4_src is None else ipv4_src)
-                _set(packet, "dst", payload.dst if ipv4_dst is None else ipv4_dst)
-                _set(packet, "proto", payload.proto)
-                _set(packet, "payload", l4)
-                _set(packet, "ttl", payload.ttl)
+                packet.src = payload.src if ipv4_src is None else ipv4_src
+                packet.dst = payload.dst if ipv4_dst is None else ipv4_dst
+                packet.proto = payload.proto
+                packet.payload = l4
+                packet.ttl = payload.ttl
         if packet is payload and eth_src is None and eth_dst is None:
             return self
         new = _new(EthernetFrame)
-        _set(new, "src", self.src if eth_src is None else eth_src)
-        _set(new, "dst", self.dst if eth_dst is None else eth_dst)
-        _set(new, "ethertype", self.ethertype)
-        _set(new, "payload", packet)
-        _set(new, "wire_bytes", self.wire_bytes)
+        new.src = self.src if eth_src is None else eth_src
+        new.dst = self.dst if eth_dst is None else eth_dst
+        new.ethertype = self.ethertype
+        new.payload = packet
+        new.wire_bytes = self.wire_bytes
         return new
 
     # ------------------------------------------------------- layer accessors

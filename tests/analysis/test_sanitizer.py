@@ -5,7 +5,10 @@ pass through it unchanged, (b) each planted invariant violation is caught,
 and (c) install/uninstall leaves the substrate classes exactly as found.
 """
 
+import copy
+import dataclasses
 import heapq
+import pickle
 
 import pytest
 
@@ -13,7 +16,21 @@ from repro.analysis import Sanitizer, SanitizerError, active_sanitizer, sanitize
 from repro.core.flowmemory import FlowMemory
 from repro.core.serviceid import ServiceID
 from repro.edge.cluster import Endpoint
-from repro.netsim.addresses import IPv4
+from repro.netsim.addresses import MAC, IPv4
+from repro.netsim.packet import (
+    ETH_TYPE_ARP,
+    ETH_TYPE_IP,
+    IP_PROTO_TCP,
+    IP_PROTO_UDP,
+    ArpOp,
+    ArpPacket,
+    EthernetFrame,
+    HTTPRequest,
+    HTTPResponse,
+    IPv4Packet,
+    TCPSegment,
+    UDPDatagram,
+)
 from repro.simcore import RandomStreams, Simulator
 
 
@@ -41,6 +58,7 @@ def test_install_uninstall_restores_originals():
         assert Simulator.run is orig_run
         assert RandomStreams.stream is orig_stream
         assert FlowMemory.remember is orig_remember
+        assert "__setattr__" not in vars(EthernetFrame)  # inherited again
     finally:
         if outer is not None:
             outer.install()
@@ -195,3 +213,81 @@ def test_sanitizer_off_means_no_checks():
     finally:
         if session is not None:
             session.install()
+
+
+# ---------------------------------------------------------- copy on rewrite
+
+
+def _packets():
+    """One built packet of each of the seven classes, by class name."""
+    request = HTTPRequest(method="POST", body_bytes=10)
+    segment = TCPSegment(src_port=1, dst_port=80, payload=request, payload_bytes=130)
+    datagram = UDPDatagram(src_port=5, dst_port=53, payload="query", payload_bytes=8)
+    ipv4 = IPv4Packet(src=IPv4("10.0.0.1"), dst=IPv4("10.0.0.2"),
+                      proto=IP_PROTO_TCP, payload=segment)
+    arp = ArpPacket(op=ArpOp.REQUEST, sender_mac=MAC(1), sender_ip=IPv4("10.0.0.1"),
+                    target_mac=MAC(0), target_ip=IPv4("10.0.0.2"))
+    frame = EthernetFrame(MAC(1), MAC(2), ETH_TYPE_IP, ipv4)
+    return {type(p).__name__: p for p in (
+        request, HTTPResponse(status=201), segment, datagram, ipv4, arp, frame)}
+
+
+PACKET_CLASSES = sorted(_packets())
+
+
+@pytest.mark.parametrize("name", PACKET_CLASSES)
+def test_a_store_to_a_built_packet_is_caught(name):
+    with sanitized():
+        packet = _packets()[name]
+        for field in packet.__slots__:
+            value = getattr(packet, field)
+            with pytest.raises(SanitizerError, match="copy-on-rewrite"):
+                setattr(packet, field, value)
+            assert getattr(packet, field) is value
+
+
+@pytest.mark.parametrize("name", PACKET_CLASSES)
+def test_every_way_of_building_a_packet_passes(name):
+    with sanitized():
+        packet = _packets()[name]
+        first = packet.__slots__[0]
+        assert getattr(dataclasses.replace(packet), first) == getattr(packet, first)
+        copies = [copy.copy(packet), copy.deepcopy(packet)]
+        copies += [pickle.loads(pickle.dumps(packet, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for built in copies:
+            assert built == packet and type(built) is type(packet)
+        if isinstance(packet, EthernetFrame):
+            assert all(built.wire_bytes == packet.wire_bytes for built in copies)
+
+
+def test_header_rewrites_pass_and_leave_the_input_alone():
+    with sanitized():
+        ipv4 = _packets()["IPv4Packet"]
+        udp = dataclasses.replace(ipv4, proto=IP_PROTO_UDP, payload=_packets()["UDPDatagram"])
+        row = (MAC(7), MAC(8), IPv4("192.0.2.1"), IPv4("192.0.2.2"), 81, 82, 83, 84)
+        for frame in (EthernetFrame(MAC(1), MAC(2), ETH_TYPE_IP, ipv4),
+                      EthernetFrame(MAC(1), MAC(2), ETH_TYPE_IP, udp),
+                      EthernetFrame(MAC(1), MAC(2), ETH_TYPE_ARP, _packets()["ArpPacket"])):
+            before = copy.deepcopy(frame)
+            out = frame.rewrite_headers(row)
+            assert out.dst == MAC(8) and out.wire_bytes == frame.wire_bytes
+            assert frame == before
+
+
+def test_a_packet_store_works_again_after_uninstall():
+    outer = active_sanitizer()  # suspend REPRO_SANITIZE=1 if present
+    if outer is not None:
+        outer.uninstall()
+    try:
+        sanitizer = Sanitizer().install()
+        packets = _packets()
+        with pytest.raises(SanitizerError):
+            packets["TCPSegment"].seq = 1
+        sanitizer.uninstall()
+        for packet in packets.values():
+            setattr(packet, packet.__slots__[0], "stored")
+            assert getattr(packet, packet.__slots__[0]) == "stored"
+    finally:
+        if outer is not None:
+            outer.install()

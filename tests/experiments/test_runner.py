@@ -1,6 +1,7 @@
 """Tests for the artifact runner CLI and quick driver sanity checks."""
 
 import io
+import os
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.experiments.runner import (
     main,
     run,
 )
-from repro.metrics import Series, Table
+from repro.metrics import RunReport, Series, Table
 
 
 class TestRegistry:
@@ -67,6 +68,24 @@ class TestRun:
             main(["--part", "a", "--only", "Fig. 9"])
         assert exit_info.value.code == 2
         assert "empty selection" in capsys.readouterr().err
+
+
+class TestCpuTime:
+    def test_cpu_time_includes_the_domain_workers(self, monkeypatch):
+        """Under ``--domains 2`` the lockstep workers run the simulation;
+        their CPU time, reaped when they are joined, is the artifact's."""
+        timings = []
+        add = RunReport.add
+        monkeypatch.setattr(RunReport, "add",
+                            lambda report, timing: (timings.append(timing), add(report, timing)))
+        before = os.times()
+        run(only=["A7"], domains=2, out=io.StringIO())
+        after = os.times()
+        workers_cpu_s = (after.children_user + after.children_system
+                         - before.children_user - before.children_system)
+        [timing] = timings
+        assert workers_cpu_s > 0
+        assert timing.cpu_s >= workers_cpu_s
 
 
 class TestCsvNameCollision:

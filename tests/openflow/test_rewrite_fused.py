@@ -11,9 +11,12 @@ Seeded random lists — interleaved outputs, trailing set-fields, repeated
 writes to one field, fields whose prerequisite layer the frame lacks, the
 empty list — must produce the same frames on the same ports, compared field
 by field at every layer including the stored ``wire_bytes`` (which ``==``
-ignores).
+ignores). Copy on rewrite is checked on every input frame too: after the
+loop body that ran it through both, the frame still equals a deep copy
+taken before, and each of its layers is still the same object.
 """
 
+import copy
 import dataclasses
 import random
 
@@ -57,6 +60,8 @@ LISTS_PER_SEED = 25
 
 
 def _frames(rng):
+    """A TCP, a UDP and an ARP frame, drawn from ``rng`` at once and yielded
+    through :func:`_unmutated`."""
     src, dst = MAC(rng.randrange(1, 1 << 40)), MAC(rng.randrange(1, 1 << 40))
     ip_src, ip_dst = IPv4(rng.randrange(1, 1 << 32)), IPv4(rng.randrange(1, 1 << 32))
     seg = TCPSegment(src_port=rng.randrange(1, 65536), dst_port=80, seq=7, ack=9,
@@ -66,13 +71,30 @@ def _frames(rng):
                      payload="query", payload_bytes=31)
     arp = ArpPacket(op=ArpOp.REQUEST, sender_mac=src, sender_ip=ip_src,
                     target_mac=MAC(0), target_ip=ip_dst)
-    return [
+    return _unmutated([
         EthernetFrame(src, dst, ETH_TYPE_IP,
                       IPv4Packet(ip_src, ip_dst, IP_PROTO_TCP, seg, ttl=17)),
         EthernetFrame(src, dst, ETH_TYPE_IP,
                       IPv4Packet(ip_src, ip_dst, IP_PROTO_UDP, dg)),
         EthernetFrame(src, dst, ETH_TYPE_ARP, arp),
-    ]
+    ])
+
+
+def _layers(frame):
+    layers = [frame]
+    while hasattr(layers[-1], "payload"):
+        layers.append(layers[-1].payload)
+    return layers
+
+
+def _unmutated(frames):
+    """Yield each frame; when the caller's loop body is done with it, check
+    copy on rewrite: nothing the body ran changed the frame in place."""
+    for frame in frames:
+        before, layers = copy.deepcopy(frame), _layers(frame)
+        yield frame
+        _assert_same_frame(frame, before)
+        assert all(now is then for now, then in zip(_layers(frame), layers, strict=True))
 
 
 def _set_field(rng):

@@ -5,7 +5,8 @@ Three families, all over randomized inputs:
 * address interning — equality and identity coincide, across both
   constructor forms and a pickle round-trip (pool workers exchange
   addresses, so ``__reduce__`` must land on the singleton);
-* ``EthernetFrame.rewrite`` — identical to ``dataclasses.replace``;
+* a frame rewritten by ``dataclasses.replace`` — identical to the frame
+  the constructor builds from the new fields, sized anew;
 * the flat ``rewrite_headers`` the switch runs per output — equivalent to a
   ``dataclasses.replace`` per changed layer, while *sharing* every untouched
   sub-object.
@@ -74,13 +75,16 @@ def _replace_fields(obj, **changes):
 class TestRewriteRoundTrip:
     @given(frames(), st.integers(min_value=0, max_value=7))
     def test_rewrite_equals_replace(self, frame, fieldmask):
-        """``EthernetFrame.rewrite`` with any subset of its arguments builds
-        exactly what ``dataclasses.replace`` does, sized anew."""
+        """``dataclasses.replace`` of any subset of the MACs and the payload
+        builds exactly the frame the constructor builds from the new
+        fields, sized anew."""
         new_esrc = mac(0x02AA00000001) if fieldmask & 1 else None
         new_edst = mac(0x02AA00000002) if fieldmask & 2 else None
         new_pkt = (dataclasses.replace(frame.payload, ttl=9) if fieldmask & 4 else None)
-        got = frame.rewrite(src=new_esrc, dst=new_edst, payload=new_pkt)
-        want = _replace_fields(frame, src=new_esrc, dst=new_edst, payload=new_pkt)
+        got = _replace_fields(frame, src=new_esrc, dst=new_edst, payload=new_pkt)
+        want = EthernetFrame(frame.src if new_esrc is None else new_esrc,
+                             frame.dst if new_edst is None else new_edst,
+                             frame.ethertype, frame.payload if new_pkt is None else new_pkt)
         assert got == want
         assert got.wire_bytes == want.wire_bytes == frame.wire_bytes  # compare=False
 
