@@ -103,6 +103,9 @@ class Sanitizer:
 
     def _patch(self, cls: type, name: str, wrapper: Callable[..., Any]) -> None:
         self._originals[(cls, name)] = vars(cls).get(name, _INHERITED)
+        # The wrapper reads as the method it replaces (``__qualname__``
+        # included), so code that names methods sees the same names.
+        functools.update_wrapper(wrapper, getattr(cls, name), updated=())
         setattr(cls, name, wrapper)
 
     def install(self) -> "Sanitizer":

@@ -3,9 +3,10 @@
 Each ``figNN_*`` function is self-contained: it builds the canonical fig. 8
 testbed, runs the paper's methodology, and returns a
 :class:`~repro.metrics.report.Table` or :class:`~repro.metrics.report.Series`
-whose rows/series correspond to the artifact in the paper. The benchmark
-harness (``benchmarks/test_bench_partb.py``) simply calls these and prints
-the renderings; EXPERIMENTS.md records paper-vs-measured.
+whose rows/series correspond to the artifact in the paper.
+``python -m repro.experiments`` prints the renderings,
+``tests/experiments/test_paper_shapes.py`` asserts their shapes, and
+EXPERIMENTS.md records paper-vs-measured.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ SERVICES = ("asm", "nginx", "resnet", "nginx+py")
 CLUSTERS = (("docker", "docker-egs"), ("kubernetes", "k8s-egs"))
 
 #: the paper scaled up 42 instances per test (fig. 11/12 caption); the
-#: simulation is deterministic, so a smaller default keeps benches quick
+#: simulation is deterministic, so a smaller default keeps a quick run quick
 #: while remaining faithful — pass repeats=42 for the full methodology.
 DEFAULT_REPEATS = 7
 

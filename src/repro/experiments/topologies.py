@@ -19,7 +19,6 @@ from repro.core import (
     DeploymentEngine,
     Dispatcher,
     FlowMemory,
-    GlobalScheduler,
     ProximityScheduler,
     RetryPolicy,
     ServiceID,
@@ -42,7 +41,6 @@ from repro.edge import (
 )
 from repro.edge.registry import DOCKER_HUB_TIMING, GCR_TIMING, PRIVATE_LAN_TIMING
 from repro.edge.services import EDGE_SERVICE_CATALOG, all_catalog_images
-from repro.edge.timing import ContainerdTiming, KubernetesTiming
 from repro.netsim import Network
 from repro.netsim.addresses import IPv4, ip, mac
 from repro.netsim.host import Host
@@ -244,7 +242,6 @@ def _edge_clusters(
     place: Callable[[str], Tuple[Host, AttachmentPoint, Containerd]],
     private: Registry,
     control_latency_s: float,
-    k8s_timing: Optional[KubernetesTiming] = None,
 ) -> Tuple[Dict[str, EdgeCluster], Dict[str, AttachmentPoint]]:
     """One edge cluster per entry of ``cluster_types``, each on the
     ``(node, attachment, runtime)`` that ``place`` gives its type:
@@ -257,7 +254,7 @@ def _edge_clusters(
             engine = DockerEngine(sim, runtime)
             cluster: EdgeCluster = DockerCluster(sim, "docker-egs", engine, zone="edge")
         elif cluster_type == "kubernetes":
-            k8s = KubernetesCluster(sim, timing=k8s_timing)
+            k8s = KubernetesCluster(sim)
             k8s.add_node(runtime)
             cluster = KubernetesEdgeCluster(sim, "k8s-egs", k8s, node, runtime, zone="edge")
         elif cluster_type == "serverless":
@@ -288,8 +285,6 @@ def _controlled_testbed(
     *,
     control_latency_s: float,
     memory_idle_timeout_s: float,
-    controller_service_time_s: float = 0.0002,
-    scheduler: Optional[GlobalScheduler] = None,
     scheduler_name: Optional[str] = None,
     retry_policy: Optional[RetryPolicy] = None,
     breaker_config: Optional[BreakerConfig] = None,
@@ -305,13 +300,11 @@ def _controlled_testbed(
     registry = ServiceRegistry(AnnotationConfig(scheduler_name=scheduler_name))
     engine = DeploymentEngine(sim, policy=retry_policy)
     memory = FlowMemory(sim, idle_timeout_s=memory_idle_timeout_s)
-    if scheduler is None:
-        scheduler = ProximityScheduler(zones)
-    dispatcher = Dispatcher(sim, list(clusters.values()), scheduler, engine,
+    dispatcher = Dispatcher(sim, list(clusters.values()), ProximityScheduler(zones), engine,
                             memory, zones=zones,
                             breaker_config=breaker_config,
                             use_breaker=use_breaker)
-    manager = AppManager(sim, service_time_s=controller_service_time_s)
+    manager = AppManager(sim)
     controller = manager.register(
         TransparentEdgeController,
         registry=registry, dispatcher=dispatcher, memory=memory,
@@ -340,16 +333,12 @@ def build_testbed(
     client_latency_s: float = 0.00015,
     cloud_rtt_s: float = 0.025,
     control_latency_s: float = 0.0002,
-    controller_service_time_s: float = 0.0002,
     switch_idle_timeout_s: float = 10.0,
     memory_idle_timeout_s: float = 60.0,
     auto_scale_down: bool = False,
     auto_remove_after_s = None,
     use_flow_memory: bool = True,
-    scheduler: Optional[GlobalScheduler] = None,
     scheduler_name: Optional[str] = None,
-    containerd_timing: Optional[ContainerdTiming] = None,
-    k8s_timing: Optional[KubernetesTiming] = None,
     use_private_registry: bool = False,
     trace: Optional[TraceLog] = None,
     retry_policy: Optional[RetryPolicy] = None,
@@ -405,16 +394,16 @@ def build_testbed(
 
     egs = net.add_host("egs", gateway=VGW_IP, prefix_len=32)
     egs_attachment = attach_node(egs)
-    shared_runtime = Containerd(sim, egs, hub, timing=containerd_timing)
+    shared_runtime = Containerd(sim, egs, hub)
 
     def place(cluster_type: str) -> Tuple[Host, AttachmentPoint, Containerd]:
         if shared_egs:
             return egs, egs_attachment, shared_runtime
         node = net.add_host(f"egs-{cluster_type}", gateway=VGW_IP, prefix_len=32)
-        return node, attach_node(node), Containerd(sim, node, hub, timing=containerd_timing)
+        return node, attach_node(node), Containerd(sim, node, hub)
 
     clusters, cluster_attachments = _edge_clusters(
-        sim, cluster_types, place, private, control_latency_s, k8s_timing)
+        sim, cluster_types, place, private, control_latency_s)
 
     testbed = _controlled_testbed(
         net, [switch], zones, hub, private, clusters, cluster_attachments,
@@ -428,8 +417,7 @@ def build_testbed(
         ),
         control_latency_s=control_latency_s,
         memory_idle_timeout_s=memory_idle_timeout_s,
-        controller_service_time_s=controller_service_time_s,
-        scheduler=scheduler, scheduler_name=scheduler_name,
+        scheduler_name=scheduler_name,
         retry_policy=retry_policy, breaker_config=breaker_config,
         use_breaker=use_breaker)
     testbed._cloud_latency_s = cloud_rtt_s / 2.0

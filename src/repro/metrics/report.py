@@ -2,8 +2,8 @@
 
 Experiments return :class:`Table` (rows × columns, for Table I and the
 grouped bar charts of figs. 11–16) or :class:`Series` (time series, for the
-trace histograms of figs. 9–10); the renderers print them the way the
-benchmark harness and EXPERIMENTS.md present results.
+trace histograms of figs. 9–10); the renderers print them the way
+``python -m repro.experiments`` and EXPERIMENTS.md present results.
 """
 
 from __future__ import annotations

@@ -64,6 +64,23 @@ def test_install_uninstall_restores_originals():
             outer.install()
 
 
+def test_patched_attributes_keep_their_originals_qualname():
+    # The performance ledger names its spans by __qualname__: a patched
+    # method must still read as the one it replaces.
+    outer = active_sanitizer()
+    if outer is not None:
+        outer.uninstall()
+    try:
+        with sanitized() as sanitizer:
+            patched = {key: getattr(*key).__qualname__ for key in sanitizer._originals}
+        assert patched
+        for (cls, name), qualname in patched.items():
+            assert qualname == getattr(cls, name).__qualname__, (cls, name)
+    finally:
+        if outer is not None:
+            outer.install()
+
+
 def test_double_install_rejected():
     with sanitized():
         with pytest.raises(SanitizerError):

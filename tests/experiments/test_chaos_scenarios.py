@@ -13,6 +13,8 @@ Three claims are kept executable here:
    their seed alone.
 """
 
+import pytest
+
 from repro.experiments.robustness import r3_crash_cell, r4_chaos_cell
 from repro.experiments.topologies import build_testbed
 from repro.simcore.faults import FaultSchedule, channel_outage, controller_outage, link_flap
@@ -137,9 +139,16 @@ class TestLinkFlapScenario:
         assert tb.controller.stats["flows_gcd"] == 0
 
 
-def _traced_run(seed, with_empty_schedule=False, with_liveness=True):
+def _traced_run(seed, with_empty_schedule=False, with_liveness=True, cold=False):
+    """``cold``: no warm instance, the default switch idle timeout and 30 s
+    of settling, so the trace also covers a cold deployment and the flows'
+    idle expiry."""
     trace = TraceLog(enabled=True)
-    tb, svc = make_testbed(seed=seed, trace=trace)
+    if cold:
+        tb = build_testbed(seed=seed, n_clients=4, cluster_types=("docker",), trace=trace)
+        svc = tb.register_catalog_service("nginx", with_cloud_origin=True)
+    else:
+        tb, svc = make_testbed(seed=seed, trace=trace)
     if with_empty_schedule:
         FaultSchedule().install(tb.sim)
     if with_liveness:
@@ -148,17 +157,18 @@ def _traced_run(seed, with_empty_schedule=False, with_liveness=True):
     for index in range(4):
         tb.client(index).fetch(svc.service_id.addr, svc.service_id.port)
         tb.run(until=tb.sim.now + 0.5)
-    tb.run(until=tb.sim.now + 10.0)
+    tb.run(until=tb.sim.now + (30.0 if cold else 10.0))
     channel = tb.manager.datapaths[tb.switch.dpid].channel
     return trace.records, channel.stats()
 
 
 class TestFaultsDisabledByteIdentity:
-    def test_same_seed_runs_are_identical(self):
+    @pytest.mark.parametrize("seed, cold", [(33, False), (77, True)])
+    def test_same_seed_runs_are_identical(self, seed, cold):
         # With heartbeats armed but zero faults configured, the entire
         # kernel trace (and every channel counter) is a pure function of
         # the seed.
-        assert _traced_run(33) == _traced_run(33)
+        assert _traced_run(seed, cold=cold) == _traced_run(seed, cold=cold)
 
     def test_empty_fault_schedule_is_invisible(self):
         # Installing an empty FaultSchedule must not shift a single event.
@@ -178,17 +188,24 @@ class TestFaultsDisabledByteIdentity:
 
 
 class TestChaosCellDeterminism:
-    def test_r3_cell_is_a_function_of_its_seed(self):
-        first = r3_crash_cell(crashes=1, n_clients=48, window=8, seed=5)
-        second = r3_crash_cell(crashes=1, n_clients=48, window=8, seed=5)
+    # Each cell, at a small size and at a larger one with more crashes,
+    # clients and requests in flight, returns the same row twice, with no
+    # client left blackholed and no flow serving a dead instance after the
+    # post-restart resync.
+    @pytest.mark.parametrize("crashes, n_clients, window, seed",
+                             [(1, 48, 8, 5), (2, 96, 12, 101)])
+    def test_r3_cell_is_a_function_of_its_seed(self, crashes, n_clients, window, seed):
+        first = r3_crash_cell(crashes=crashes, n_clients=n_clients, window=window, seed=seed)
+        second = r3_crash_cell(crashes=crashes, n_clients=n_clients, window=window, seed=seed)
         assert first == second
-        assert first["crashes"] == 1
+        assert first["crashes"] == crashes
         assert first["blackholed"] == 0
         assert first["stale_flows"] == 0
 
-    def test_r4_cell_is_a_function_of_its_seed(self):
-        first = r4_chaos_cell(seed=13, n_clients=48, window=8)
-        second = r4_chaos_cell(seed=13, n_clients=48, window=8)
+    @pytest.mark.parametrize("seed, n_clients, window", [(13, 48, 8), (211, 96, 12)])
+    def test_r4_cell_is_a_function_of_its_seed(self, seed, n_clients, window):
+        first = r4_chaos_cell(seed=seed, n_clients=n_clients, window=window)
+        second = r4_chaos_cell(seed=seed, n_clients=n_clients, window=window)
         assert first == second
         assert first["blackholed"] == 0
         assert first["stale_flows"] == 0

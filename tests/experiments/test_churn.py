@@ -1,5 +1,7 @@
 """Tests for the C1 registry-churn experiment (repro.experiments.churn)."""
 
+import pytest
+
 from repro.experiments.churn import c1_churn_cell, c1_registry_churn
 from repro.metrics import table_to_csv
 
@@ -15,11 +17,15 @@ class TestChurnCell:
         # Every churn op and every registration bumped the generation.
         assert row["registry_generation"] >= 48 + 64
 
-    def test_cell_is_pure_function_of_seed(self):
-        a = c1_churn_cell(n_services=64, churn_ops=48, clients=6, seed=401)
-        b = c1_churn_cell(n_services=64, churn_ops=48, clients=6, seed=401)
+    @pytest.mark.parametrize("n_services, churn_ops, clients", [(64, 48, 6), (256, 128, 24)])
+    def test_cell_is_pure_function_of_seed(self, n_services, churn_ops, clients):
+        size = dict(n_services=n_services, churn_ops=churn_ops, clients=clients)
+        a = c1_churn_cell(**size, seed=401)
+        b = c1_churn_cell(**size, seed=401)
         assert a == b
-        c = c1_churn_cell(n_services=64, churn_ops=48, clients=6, seed=402)
+        assert a["misdispatched"] == 0
+        assert a["verify_violations"] == 0
+        c = c1_churn_cell(**size, seed=402)
         assert c != a  # the seed genuinely steers the scenario
 
     def test_driver_renders_csv(self):
