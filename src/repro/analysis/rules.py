@@ -424,48 +424,6 @@ class NoIdKeyedDict(Rule):
 
 
 # ---------------------------------------------------------------------------
-# REP008 — direct Simulator construction in experiment drivers
-# ---------------------------------------------------------------------------
-
-
-@register
-class NoDirectSimulatorInExperiments(Rule):
-    """Experiment drivers obtain event loops from ``new_simulator``."""
-
-    code = "REP008"
-    name = "no-direct-simulator-in-experiments"
-    rationale = ("experiment drivers that call Simulator() directly bypass "
-                 "the repro.simcore.domains.new_simulator factory, so the "
-                 "loop is invisible to domain-sharded accounting and the "
-                 "lockstep coordinator; build loops via new_simulator (or a "
-                 "Network/testbed, which does so internally)")
-
-    #: canonical paths of the raw event-loop constructor
-    BANNED = frozenset({
-        "repro.simcore.Simulator",
-        "repro.simcore.loop.Simulator",
-    })
-    #: only driver code is restricted; library/simcore code may construct
-    SCOPE = "repro/experiments/"
-
-    def _in_scope(self, path: str) -> bool:
-        return self.SCOPE in path.replace("\\", "/")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not self._in_scope(ctx.path):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = ctx.imports.canonical(node.func)
-            if target in self.BANNED:
-                yield node, ("direct `Simulator(...)` construction in an "
-                             "experiment driver — use "
-                             "repro.simcore.domains.new_simulator so the "
-                             "loop participates in domain accounting")
-
-
-# ---------------------------------------------------------------------------
 # REP009 — wholesale flushes of generation-keyed memos
 # ---------------------------------------------------------------------------
 

@@ -56,11 +56,6 @@ def cookie_kind(cookie: int) -> int:
     return (cookie >> KIND_SHIFT) & KIND_MASK
 
 
-def cookie_plan(cookie: int) -> int:
-    """The per-epoch install sequence number."""
-    return cookie & PLAN_MASK
-
-
 def is_controller_cookie(cookie: int) -> bool:
     """True for cookies this controller family stamped (nonzero, known
     kind). Zero-cookie flows were installed by something else."""

@@ -28,14 +28,12 @@ class EdgeHierarchy:
     """Cluster name → parent-cluster name (None = top tier, next hop is the
     cloud itself)."""
 
-    def __init__(self, parents: Optional[Dict[str, Optional[str]]] = None):
-        self._parents: Dict[str, Optional[str]] = dict(parents or {})
-
-    def set_parent(self, cluster: str, parent: Optional[str]) -> None:
-        if parent is not None and self._creates_cycle(cluster, parent):
-            raise ValueError(f"setting parent {parent!r} of {cluster!r} "
-                             "creates a cycle")
-        self._parents[cluster] = parent
+    def __init__(self, parents: Dict[str, Optional[str]]):
+        self._parents: Dict[str, Optional[str]] = dict(parents)
+        for cluster, parent in self._parents.items():
+            if parent is not None and self._creates_cycle(cluster, parent):
+                raise ValueError(f"parent {parent!r} of {cluster!r} "
+                                 "creates a cycle")
 
     def _creates_cycle(self, cluster: str, parent: str) -> bool:
         seen = {cluster}
@@ -58,9 +56,6 @@ class EdgeHierarchy:
             out.append(node)
             node = self._parents.get(node)
         return out
-
-    def depth(self, cluster: str) -> int:
-        return len(self.ancestors(cluster))
 
     def __contains__(self, cluster: str) -> bool:
         return cluster in self._parents

@@ -28,9 +28,6 @@ class ZoneMap:
 
     # ------------------------------------------------------------ topology
 
-    def add_zone(self, name: str) -> None:
-        self._zones.add(name)
-
     def set_rtt(self, a: str, b: str, rtt_s: float) -> None:
         if rtt_s < 0:
             raise ValueError("negative RTT")

@@ -97,10 +97,6 @@ class ContainerImage:
     def layer_count(self) -> int:
         return len(self.layers)
 
-    @property
-    def size_mib(self) -> float:
-        return self.size_bytes / MIB
-
     def __str__(self) -> str:
         return str(self.ref)
 

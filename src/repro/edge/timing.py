@@ -87,14 +87,6 @@ class KubernetesTiming:
     proxy_program_s: float = 0.100
 
 
-@dataclass
-class ServiceTimingOverrides:
-    """Optional per-experiment scaling knobs (ablations)."""
-
-    startup_scale: float = 1.0
-    request_scale: float = 1.0
-
-
 DEFAULT_CONTAINERD = ContainerdTiming()
 DEFAULT_DOCKER = DockerTiming()
 DEFAULT_KUBERNETES = KubernetesTiming()

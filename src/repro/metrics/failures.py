@@ -7,9 +7,8 @@ degraded dispatches, the controller counts released-toward-cloud packet
 bursts, the container runtimes count injected crashes. This module flattens
 all of that into one dict for experiment drivers and operator tooling.
 
-Everything is duck-typed (``getattr`` with defaults) so the module depends
-on no core classes and tolerates partial platforms (e.g. a bare dispatcher
-without a controller in unit tests).
+Everything is reached through the controller. A cluster's runtime is read
+with ``getattr``, because a serverless cluster has none.
 """
 
 from __future__ import annotations
@@ -64,50 +63,39 @@ class FailureCounters:
         }
 
 
-def snapshot_failures(controller: Any = None,
-                      dispatcher: Any = None,
-                      engine: Any = None,
+def snapshot_failures(controller: Any,
                       clusters: Optional[list] = None) -> FailureCounters:
-    """Collect a :class:`FailureCounters` from whatever parts are given.
-
-    Pass a controller and the rest is reached through it; or pass the
-    pieces individually (any may be None)."""
-    if controller is not None:
-        if dispatcher is None:
-            dispatcher = getattr(controller, "dispatcher", None)
-        if clusters is None and dispatcher is not None:
-            clusters = getattr(dispatcher, "clusters", None)
-    if engine is None and dispatcher is not None:
-        engine = getattr(dispatcher, "engine", None)
-
-    stats = getattr(controller, "stats", {}) if controller is not None else {}
+    """Collect a :class:`FailureCounters` from ``controller`` and the parts
+    it reaches. ``clusters`` defaults to the dispatcher's; operator tooling
+    passes its own list to include clusters the dispatcher no longer sees."""
+    dispatcher = controller.dispatcher
+    engine = dispatcher.engine
+    stats = controller.stats
+    manager = controller.manager
     pull_failures = 0
     crashed = 0
     outages = 0
-    for cluster in clusters or []:
+    for cluster in dispatcher.clusters if clusters is None else clusters:
         runtime = getattr(cluster, "runtime", None)
         pull_failures += getattr(runtime, "pull_failures", 0)
         crashed += getattr(runtime, "containers_crashed", 0)
-        outages += getattr(cluster, "outages", 0)
-    manager = getattr(controller, "manager", None) if controller is not None else None
+        outages += cluster.outages
     dropped_up = 0
     dropped_down = 0
-    for datapath in getattr(manager, "datapaths", {}).values():
-        channel = getattr(datapath, "channel", None)
-        dropped_up += getattr(channel, "drops_up", 0)
-        dropped_down += getattr(channel, "drops_down", 0)
+    for datapath in manager.datapaths.values():
+        dropped_up += datapath.channel.drops_up
+        dropped_down += datapath.channel.drops_down
     return FailureCounters(
-        dispatch_failures=stats.get(
-            "dispatch_failures", getattr(dispatcher, "deploy_failures", 0)),
-        retries=getattr(engine, "retries", 0),
-        deploy_exhausted=getattr(engine, "failures", 0),
-        breaker_opens=getattr(dispatcher, "breaker_opens", 0),
-        cloud_fallbacks=getattr(dispatcher, "cloud_fallbacks", 0),
-        instances_evicted=stats.get("instances_evicted", 0),
+        dispatch_failures=stats["dispatch_failures"],
+        retries=engine.retries,
+        deploy_exhausted=engine.failures,
+        breaker_opens=dispatcher.breaker_opens,
+        cloud_fallbacks=dispatcher.cloud_fallbacks,
+        instances_evicted=stats["instances_evicted"],
         pull_failures=pull_failures,
         containers_crashed=crashed,
         cluster_outages=outages,
         control_msgs_dropped_up=dropped_up,
         control_msgs_dropped_down=dropped_down,
-        controller_crashes=getattr(manager, "crashes", 0),
+        controller_crashes=manager.crashes,
     )

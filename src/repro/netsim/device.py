@@ -33,12 +33,6 @@ class Device:
             raise ValueError(f"{self.name}: port {port_no} already wired")
         self.links[port_no] = link
 
-    def port_of_link(self, link: "Link") -> int:
-        for port_no, candidate in self.links.items():
-            if candidate is link:
-                return port_no
-        raise KeyError(f"{self.name}: link {link!r} not attached")
-
     @property
     def port_numbers(self) -> list[int]:
         return sorted(self.links)

@@ -207,12 +207,6 @@ class Connection:
         self.send(message, size_bytes)
         return waiter
 
-    def next_message(self) -> "Signal":
-        """Signal completing with the next received message (no send)."""
-        waiter = self.sim.signal(f"{self.host.name}:next-msg:{self.local_port}")
-        self._response_waiters.append(waiter)
-        return waiter
-
     def close(self) -> None:
         """Initiate FIN teardown (idempotent)."""
         if self.state is TCPState.ESTABLISHED:

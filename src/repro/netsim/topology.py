@@ -103,18 +103,6 @@ class Network:
         self.links.append(link)
         return link
 
-    def connect_host(
-        self,
-        host: Host,
-        switch: Device,
-        switch_port: int,
-        latency_s: float = 0.0001,
-        bandwidth_bps: Optional[float] = 1e9,
-    ) -> Link:
-        """Wire a single-NIC host (port 0) to ``switch_port`` on a switch."""
-        return self.connect(host, 0, switch, switch_port,
-                            latency_s=latency_s, bandwidth_bps=bandwidth_bps)
-
     # -------------------------------------------------------------- running
 
     def run(self, until: Optional[float] = None) -> float:
@@ -123,12 +111,6 @@ class Network:
     @property
     def now(self) -> float:
         return self.sim.now
-
-    def host_by_ip(self, addr: IPv4) -> Optional[Host]:
-        for host in self.hosts.values():
-            if host.ip == addr:
-                return host
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Network hosts={len(self.hosts)} devices={len(self.devices)} "

@@ -245,9 +245,6 @@ class OpenFlowSwitch(Device):
                                  "pkt": frame.describe()})
         self.channel.to_controller(message)
 
-    def buffered_frame(self, buffer_id: int) -> Optional[Tuple[EthernetFrame, int]]:
-        return self._buffer.get(buffer_id)
-
     @property
     def buffered_count(self) -> int:
         return len(self._buffer)

@@ -23,7 +23,7 @@ from typing import Any, List, Optional
 from repro.openflow import constants as _c
 from repro.openflow.actions import Action, OutputAction, SetFieldAction
 from repro.openflow.match import Match
-from repro.openflow.messages import BarrierRequest, EchoRequest, FlowMod, FlowStatsRequest, PacketOut
+from repro.openflow.messages import BarrierRequest, FlowMod, FlowStatsRequest, PacketOut
 
 #: Constants namespace, mirroring ``ryu.ofproto.ofproto_v1_3``.
 ofproto_v1_3 = SimpleNamespace(
@@ -107,10 +107,6 @@ class _Parser:
     @staticmethod
     def OFPFlowStatsRequest(datapath: Any, match: Optional[Match] = None) -> FlowStatsRequest:
         return FlowStatsRequest(match=match if match is not None else Match())
-
-    @staticmethod
-    def OFPEchoRequest(datapath: Any, data: Any = None) -> EchoRequest:
-        return EchoRequest(payload=data)
 
     @staticmethod
     def OFPBarrierRequest(datapath: Any) -> BarrierRequest:

@@ -14,14 +14,12 @@ Determinism contract
 """
 
 from repro.simcore.errors import (
-    DeadlockError,
     ProcessKilled,
     ProcessStateError,
     ScheduleInPastError,
     SignalStateError,
     SimulationError,
     SimulatorReentryError,
-    WaitTimeout,
 )
 from repro.simcore.faults import (
     FaultInjected,
@@ -35,7 +33,7 @@ from repro.simcore.faults import (
     link_flap,
 )
 from repro.simcore.loop import EventHandle, Simulator
-from repro.simcore.process import AllOf, AnyOf, Process, Timeout, Waitable
+from repro.simcore.process import Process, Timeout, Waitable
 from repro.simcore.rng import RandomStreams
 from repro.simcore.signal import Signal
 from repro.simcore.trace import TraceLog, TraceRecord
@@ -55,18 +53,14 @@ __all__ = [
     "Signal",
     "Process",
     "Timeout",
-    "AllOf",
-    "AnyOf",
     "Waitable",
     "RandomStreams",
     "TraceLog",
     "TraceRecord",
     "SimulationError",
-    "DeadlockError",
     "ProcessKilled",
     "ProcessStateError",
     "ScheduleInPastError",
     "SignalStateError",
     "SimulatorReentryError",
-    "WaitTimeout",
 ]

@@ -11,18 +11,12 @@ Layering note: this lives under :mod:`repro.simcore` because lockstep is
 a kernel-level concern, but it is a *leaf* subpackage — importing
 ``repro.simcore`` does not import it (that would cycle through
 :mod:`repro.netsim`, which imports simcore).
-
-:func:`new_simulator` is the domain-aware event-loop factory experiment
-drivers must use instead of constructing :class:`Simulator` directly
-(linted by rule REP008): loops created through it while a domain is
-being built are registered with that domain, so a driver-side helper
-loop can never silently escape domain accounting.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Iterator
 
 from repro.simcore.domains.envelope import (
     Envelope,
@@ -50,8 +44,6 @@ from repro.simcore.domains.partition import (
     PartitionError,
     derive_domain_seed,
 )
-from repro.simcore.loop import Simulator
-from repro.simcore.trace import TraceLog
 
 __all__ = [
     "CausalityError", "DomainGateway", "DomainModel", "DomainOutcome",
@@ -59,39 +51,10 @@ __all__ = [
     "Envelope", "EnvelopeCodecError", "LockstepCoordinator",
     "LockstepOutcome", "LockstepProtocolError", "LockstepStallError",
     "PartitionError", "ProcessExecutor", "SerialExecutor",
-    "active_domain_workers", "created_simulators", "decode_envelopes",
+    "active_domain_workers", "decode_envelopes",
     "derive_domain_seed", "domain_workers", "encode_envelopes",
-    "envelope_order", "new_simulator",
+    "envelope_order",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Domain-aware Simulator factory (REP008's sanctioned construction path)
-# ---------------------------------------------------------------------------
-
-#: loops created by :func:`new_simulator` since the last collection —
-#: a building DomainRuntime drains this to attribute helper loops
-_CREATED_LOOPS: List[Simulator] = []
-
-
-def new_simulator(trace: Optional[TraceLog] = None) -> Simulator:
-    """Create an event loop through the domain-aware path.
-
-    Experiment drivers use this (or a testbed builder, which owns its
-    loop) instead of ``Simulator(...)`` so every loop a scenario creates
-    is visible to the domain partitioner/accounting — rule REP008 flags
-    direct construction inside :mod:`repro.experiments`.
-    """
-    sim = Simulator(trace=trace)
-    _CREATED_LOOPS.append(sim)
-    return sim
-
-
-def created_simulators() -> List[Simulator]:
-    """Drain and return the loops created since the last call."""
-    global _CREATED_LOOPS
-    created, _CREATED_LOOPS = _CREATED_LOOPS, []
-    return created
 
 
 # ---------------------------------------------------------------------------

@@ -127,17 +127,10 @@ class DomainRuntime:
     """One built domain plus the state that must be sharded around it."""
 
     def __init__(self, spec: DomainSpec, n_domains: int) -> None:
-        from repro.simcore.domains import created_simulators
-
         self.spec = spec
-        created_simulators()  # discard loops created outside any domain
         before = perf.snapshot()
         self.model = spec.build(n_domains)
         self.perf = perf.delta(before)
-        #: helper loops the builder created via the domain-aware factory
-        #: (beyond the model's own) — their events count toward this domain
-        self.helper_loops = [sim for sim in created_simulators()
-                             if sim is not self.model.sim]
         self.envelopes_in = 0
         self.envelopes_out = 0
 
@@ -169,12 +162,10 @@ class DomainRuntime:
 
     def finalize(self) -> DomainOutcome:
         sim = self.model.sim
-        events = sim.events_executed + sum(
-            helper.events_executed for helper in self.helper_loops)
         return DomainOutcome(
             domain_id=self.spec.domain_id, name=self.spec.name,
             result=self.model.finalize(), now=sim.now,
-            events_executed=events, perf=self.perf,
+            events_executed=sim.events_executed, perf=self.perf,
             trace_records=list(sim.trace.records),
             envelopes_in=self.envelopes_in, envelopes_out=self.envelopes_out)
 

@@ -5,17 +5,8 @@ class SimulationError(Exception):
     """Base class for all kernel-level errors."""
 
 
-class DeadlockError(SimulationError):
-    """Raised by :meth:`Simulator.run` when ``run_until_deadlock`` detects that
-    processes are still alive but no future event can ever wake them."""
-
-
 class ProcessKilled(SimulationError):
     """Injected into a process generator when :meth:`Process.kill` is called."""
-
-
-class WaitTimeout(SimulationError):
-    """Raised inside a process when a ``wait(..., timeout=...)`` expires."""
 
 
 class ScheduleInPastError(SimulationError):

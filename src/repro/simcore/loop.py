@@ -20,7 +20,7 @@ import heapq
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.metrics.perf import PERF
-from repro.simcore.errors import DeadlockError, ScheduleInPastError, SimulatorReentryError
+from repro.simcore.errors import ScheduleInPastError, SimulatorReentryError
 from repro.simcore.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,7 +74,7 @@ class Simulator:
     ----------
     trace:
         Optional :class:`TraceLog`; when provided, kernel-level events
-        (process spawn/finish, deadlocks) are recorded into it and the same
+        (process spawn/finish) are recorded into it and the same
         log is conventionally shared by higher layers.
 
     Notes
@@ -211,23 +211,14 @@ class Simulator:
             self.now = until
         return self.now
 
-    def run_until_deadlock(self, watched: "list[Any]") -> float:
-        """Run to quiescence; raise :class:`DeadlockError` if any process in
-        ``watched`` is still alive when no events remain."""
-        self.run()
-        alive = [p for p in watched if getattr(p, "alive", False)]
-        if alive:
-            raise DeadlockError(f"{len(alive)} process(es) blocked forever: {alive!r}")
-        return self.now
-
     # -------------------------------------------------------------- processes
 
     def spawn(self, generator: Iterator[Any], name: ProcessName = "") -> Process:
         """Start a generator-based process on this loop.
 
         The generator may ``yield`` any :class:`~repro.simcore.process.Waitable`
-        (a :class:`Timeout`, a :class:`Signal`, another :class:`Process`, or
-        an :class:`AllOf`/:class:`AnyOf` combinator). Its ``return`` value
+        (a :class:`Timeout`, a :class:`Signal` or another :class:`Process`).
+        Its ``return`` value
         becomes :attr:`Process.result`.
         """
         from repro.simcore.process import Process  # local import: cycle

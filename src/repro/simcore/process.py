@@ -1,4 +1,4 @@
-"""Generator-based processes and waitable combinators.
+"""Generator-based processes and timeouts.
 
 A *process* is a Python generator driven by the event loop. Each ``yield``
 hands the loop a *waitable*; the process resumes when the waitable completes,
@@ -12,8 +12,8 @@ An object is waitable if it provides::
     _wait_subscribe(callback)   # call callback(waitable) once complete
     _wait_result()              # value to send into the generator / may raise
 
-:class:`Timeout`, :class:`~repro.simcore.signal.Signal`, :class:`Process`,
-:class:`AllOf` and :class:`AnyOf` all implement it.
+:class:`Timeout`, :class:`~repro.simcore.signal.Signal` and :class:`Process`
+all implement it.
 """
 
 from __future__ import annotations
@@ -223,102 +223,3 @@ class Process:
         state = "done" if self._done else "alive"
         return f"<Process {self.name!r} {state}>"
 
-
-class AllOf:
-    """Waitable that completes when *all* child waitables complete.
-
-    Result is the list of child results in construction order. If any child
-    fails, the first failure (in completion order) is raised at the yield
-    point once all children finished.
-    """
-
-    __slots__ = ("sim", "children", "_remaining", "_callbacks", "_first_exc")
-
-    def __init__(self, sim: "Simulator", children: list[Any]) -> None:
-        self.sim = sim
-        self.children = list(children)
-        self._remaining = len(self.children)
-        self._callbacks: list[Callable[["AllOf"], None]] = []
-        self._first_exc: Optional[BaseException] = None
-        if self._remaining == 0:
-            sim.call_soon(self._complete)
-        else:
-            for child in self.children:
-                child._wait_subscribe(self._child_done)
-
-    def _child_done(self, child: Any) -> None:
-        try:
-            child._wait_result()
-        except BaseException as exc:  # noqa: BLE001
-            if self._first_exc is None:
-                self._first_exc = exc
-        self._remaining -= 1
-        if self._remaining == 0:
-            self._complete()
-
-    def _complete(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(self)
-
-    @property
-    def done(self) -> bool:
-        return self._remaining == 0
-
-    def _wait_subscribe(self, callback: Callable[["AllOf"], None]) -> None:
-        if self.done:
-            self.sim.call_soon(callback, self)
-        else:
-            self._callbacks.append(callback)
-
-    def _wait_result(self) -> Any:
-        if self._first_exc is not None:
-            raise self._first_exc
-        return [c._wait_result() for c in self.children]
-
-
-class AnyOf:
-    """Waitable that completes when the *first* child completes.
-
-    Result is ``(index, value)`` of the winning child; a failing first child
-    propagates its exception. Remaining children keep running — callers that
-    race a :class:`Timeout` against work should cancel the loser themselves.
-    """
-
-    __slots__ = ("sim", "children", "_winner", "_callbacks")
-
-    def __init__(self, sim: "Simulator", children: list[Any]) -> None:
-        if not children:
-            raise ValueError("AnyOf requires at least one child")
-        self.sim = sim
-        self.children = list(children)
-        self._winner: Optional[int] = None
-        self._callbacks: list[Callable[["AnyOf"], None]] = []
-        for index, child in enumerate(self.children):
-            child._wait_subscribe(lambda c, i=index: self._child_done(i))
-
-    def _child_done(self, index: int) -> None:
-        if self._winner is not None:
-            return
-        self._winner = index
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(self)
-
-    @property
-    def done(self) -> bool:
-        return self._winner is not None
-
-    @property
-    def winner(self) -> Optional[int]:
-        return self._winner
-
-    def _wait_subscribe(self, callback: Callable[["AnyOf"], None]) -> None:
-        if self.done:
-            self.sim.call_soon(callback, self)
-        else:
-            self._callbacks.append(callback)
-
-    def _wait_result(self) -> Any:
-        assert self._winner is not None
-        return (self._winner, self.children[self._winner]._wait_result())

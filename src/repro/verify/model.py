@@ -67,12 +67,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def counts_by_invariant(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.invariant] = counts.get(violation.invariant, 0) + 1
-        return counts
-
     def to_text(self) -> str:
         header = (f"verified {self.classes_checked} header classes / "
                   f"{self.rules_checked} rules / {self.switches_checked} "

@@ -1,7 +1,7 @@
 """Workloads: timed clients (timecurl) and the bigFlows-style trace."""
 
 from repro.workloads.clients import RequestTiming, TimedHTTPClient
-from repro.workloads.loadgen import ClosedLoopGenerator, LoadResult, OpenLoopGenerator
+from repro.workloads.loadgen import ClosedLoopGenerator, LoadResult
 from repro.workloads.trace import (
     ConversationTrace,
     TraceRequest,
@@ -13,7 +13,6 @@ __all__ = [
     "RequestTiming",
     "TimedHTTPClient",
     "LoadResult",
-    "OpenLoopGenerator",
     "ClosedLoopGenerator",
     "TraceRequest",
     "ConversationTrace",

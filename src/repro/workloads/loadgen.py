@@ -1,15 +1,10 @@
-"""Load generators: reusable request drivers for experiments.
+"""Closed-loop load generator and the result it collects.
 
-Two standard shapes:
-
-* **open-loop** (:class:`OpenLoopGenerator`): requests arrive on a fixed or
-  Poisson schedule regardless of completions — models independent clients
-  (the E5 overload experiment, the trace replay);
-* **closed-loop** (:class:`ClosedLoopGenerator`): each virtual user issues
-  the next request only after the previous one completed (+ think time) —
-  models sessions, self-throttling under slowdown.
-
-Both rotate across the testbed's clients and collect
+:class:`ClosedLoopGenerator` runs N virtual users; each issues the next
+request only after the previous one completed, plus a think time. That
+models sessions, which throttle themselves when the edge slows down. It
+drives the ledger's ``warm_sessions`` workload. Users rotate across the
+testbed's clients, and :class:`LoadResult` collects their
 :class:`~repro.workloads.clients.RequestTiming` results.
 """
 
@@ -20,7 +15,6 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.edge.services import ServiceBehavior
 from repro.metrics.stats import StreamingStats, Summary, summarize
-from repro.simcore.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.registry import EdgeService
@@ -34,10 +28,12 @@ class LoadResult:
 
     Two modes:
 
-    * ``keep_timings=True`` (the default, used by every existing
-      experiment): every :class:`RequestTiming` is retained in ``timings``
-      and the list-based accessors behave exactly as they always have.
-    * ``keep_timings=False`` (the scale path): per-request objects are
+    * ``keep_timings=True`` (the default): every :class:`RequestTiming`
+      is retained in ``timings``, and the list-based accessors (``ok``,
+      ``completed``, ``totals``) read it. Only tests use this mode, as the
+      exact reference for the streaming one.
+    * ``keep_timings=False`` (the scale path, used by the ledger and by
+      :class:`~repro.workloads.scale.ClientBank`): per-request objects are
       dropped after aggregation — counters plus a
       :class:`~repro.metrics.stats.StreamingStats` over ``time_total`` of
       the successful requests. Memory stays constant at any request count.
@@ -91,58 +87,6 @@ class LoadResult:
         if self.stream is None or self.stream.count == 0:
             raise ValueError("no successful requests aggregated")
         return self.stream.summary()
-
-
-class OpenLoopGenerator:
-    """Fixed-rate or Poisson open-loop arrivals against one service."""
-
-    def __init__(self, testbed: "Testbed", service: "EdgeService",
-                 behavior: Optional[ServiceBehavior] = None,
-                 rate_rps: float = 1.0, poisson: bool = False,
-                 seed: int = 0, keep_timings: bool = True):
-        if rate_rps <= 0:
-            raise ValueError("rate must be positive")
-        self.testbed = testbed
-        self.service = service
-        self.behavior = behavior
-        self.rate_rps = rate_rps
-        self.poisson = poisson
-        self._rng = RandomStreams(seed).stream("loadgen.open")
-        self.result = LoadResult(
-            keep_timings=keep_timings,
-            stream=None if keep_timings else StreamingStats())
-
-    def start(self, duration_s: float) -> LoadResult:
-        """Schedule all arrivals for ``duration_s`` (call, then run the sim)."""
-        sim = self.testbed.sim
-        t = 0.0
-        index = 0
-        while t < duration_s:
-            sim.schedule(t, self._issue, index)
-            index += 1
-            if self.poisson:
-                t += float(self._rng.exponential(1.0 / self.rate_rps))
-            else:
-                t += 1.0 / self.rate_rps
-        return self.result
-
-    def _issue(self, index: int) -> None:
-        client = self.testbed.client(index % len(self.testbed.timed_clients))
-        if self.behavior is not None:
-            process = client.fetch_service(self.service.service_id.addr,
-                                           self.service.service_id.port,
-                                           self.behavior)
-        else:
-            process = client.fetch(self.service.service_id.addr,
-                                   self.service.service_id.port)
-        self.result.issued += 1
-        process._wait_subscribe(lambda p: self._done(p))
-
-    def _done(self, process) -> None:
-        try:
-            self.result.record(process.result)
-        except Exception:  # noqa: BLE001 - failed request process
-            self.result.record(None)
 
 
 class ClosedLoopGenerator:

@@ -26,7 +26,7 @@ def test_all_rules_registered_with_unique_codes():
     assert codes == sorted(codes)
     assert len(set(codes)) == len(codes)
     assert {"REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
-            "REP007", "REP008", "REP009", "REP010"} <= set(codes)
+            "REP007", "REP009", "REP010"} <= set(codes)
 
 
 def test_get_rule_unknown_code_raises():
@@ -172,50 +172,13 @@ def test_rep007_honours_noqa():
     assert report.suppressed == 1
 
 
-# ------------------------------------------------------------------- REP008
-
-
-DRIVER_PATH = "src/repro/experiments/newdriver.py"
+# ------------------------------------------------------------------- helpers
 
 
 def codes_at(source: str, path: str) -> list:
     report = check_source(source, path, AnalysisConfig())
     assert report.parse_error is None
     return [v.code for v in report.violations]
-
-
-def test_rep008_flags_direct_simulator_in_experiment_drivers():
-    source = "from repro.simcore import Simulator\nsim = Simulator()\n"
-    assert codes_at(source, DRIVER_PATH) == ["REP008"]
-    source = "from repro.simcore.loop import Simulator\nsim = Simulator()\n"
-    assert codes_at(source, DRIVER_PATH) == ["REP008"]
-    source = "import repro.simcore as sc\nsim = sc.Simulator()\n"
-    assert codes_at(source, DRIVER_PATH) == ["REP008"]
-
-
-def test_rep008_is_scoped_to_experiment_drivers():
-    source = "from repro.simcore import Simulator\nsim = Simulator()\n"
-    assert codes_at(source, "src/repro/simcore/loop.py") == []
-    assert codes_at(source, "src/repro/workloads/scale.py") == []
-    assert codes_at(source, "tests/experiments/test_x.py") == []
-
-
-def test_rep008_allows_factory_and_references():
-    source = ("from repro.simcore.domains import new_simulator\n"
-              "sim = new_simulator()\n")
-    assert codes_at(source, DRIVER_PATH) == []
-    # a bare reference (no call) is fine, e.g. isinstance checks
-    source = ("from repro.simcore import Simulator\n"
-              "ok = isinstance(x, Simulator)\n")
-    assert codes_at(source, DRIVER_PATH) == []
-
-
-def test_rep008_honours_noqa():
-    source = ("from repro.simcore import Simulator\n"
-              "sim = Simulator()  # repro: noqa[REP008]\n")
-    report = check_source(source, DRIVER_PATH, AnalysisConfig())
-    assert report.violations == []
-    assert report.suppressed == 1
 
 
 # ------------------------------------------------------------------- REP009

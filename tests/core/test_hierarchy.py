@@ -23,24 +23,21 @@ class TestEdgeHierarchy:
         assert hierarchy.parent("access") == "agg"
         assert hierarchy.ancestors("access") == ["agg", "regional"]
         assert hierarchy.ancestors("regional") == []
-        assert hierarchy.depth("access") == 2
 
-    def test_set_parent_and_membership(self):
-        hierarchy = EdgeHierarchy()
-        hierarchy.set_parent("a", "b")
-        hierarchy.set_parent("b", None)
-        assert "a" in hierarchy
+    def test_membership_and_top_tier(self):
+        hierarchy = EdgeHierarchy({"a": "b", "b": None})
+        assert "a" in hierarchy and "b" in hierarchy
+        assert "c" not in hierarchy
         assert hierarchy.ancestors("a") == ["b"]
+        assert hierarchy.parent("b") is None
 
     def test_cycle_rejected(self):
-        hierarchy = EdgeHierarchy({"a": "b", "b": "c"})
-        with pytest.raises(ValueError):
-            hierarchy.set_parent("c", "a")
+        with pytest.raises(ValueError, match="cycle"):
+            EdgeHierarchy({"a": "b", "b": "c", "c": "a"})
 
     def test_self_parent_rejected(self):
-        hierarchy = EdgeHierarchy()
-        with pytest.raises(ValueError):
-            hierarchy.set_parent("a", "a")
+        with pytest.raises(ValueError, match="cycle"):
+            EdgeHierarchy({"a": "a"})
 
 
 class TestHierarchicalScheduler:

@@ -32,7 +32,6 @@ from repro.simcore.domains import (
     domain_workers,
     encode_envelopes,
     envelope_order,
-    new_simulator,
 )
 from repro.metrics.perf import PerfCounters
 
@@ -327,17 +326,7 @@ def test_merged_trace_labels_records_with_their_domain():
     assert dump[1].startswith("d0 ") and "zero" in dump[1]
 
 
-# ------------------------------------------------------- factory/context
-
-
-def test_new_simulator_factory_registers_loops():
-    from repro.simcore.domains import created_simulators
-
-    created_simulators()  # drain anything earlier tests left behind
-    sim = new_simulator()
-    assert isinstance(sim, Simulator)
-    assert created_simulators() == [sim]
-    assert created_simulators() == []  # drained
+# ------------------------------------------------------------------ context
 
 
 def test_domain_workers_context():

@@ -1,48 +1,12 @@
-"""Coverage for smaller kernel/netsim APIs: deadlock detection, timeout
-cancellation, Network helpers, Device wiring."""
+"""Coverage for smaller kernel/netsim APIs: timeout cancellation and
+Network helpers."""
 
 import pytest
 
 from repro.netsim import Network
 from repro.netsim.device import Device
-from repro.simcore import DeadlockError, Simulator
+from repro.simcore import Simulator
 from repro.simcore.process import Timeout
-
-
-class TestRunUntilDeadlock:
-    def test_clean_completion(self):
-        sim = Simulator()
-
-        def proc():
-            yield sim.timeout(1.0)
-
-        p = sim.spawn(proc())
-        assert sim.run_until_deadlock([p]) == 1.0
-
-    def test_blocked_process_detected(self):
-        sim = Simulator()
-        never = sim.signal("never-set")
-
-        def proc():
-            yield never
-
-        p = sim.spawn(proc())
-        with pytest.raises(DeadlockError):
-            sim.run_until_deadlock([p])
-
-    def test_non_watched_blocked_process_ignored(self):
-        sim = Simulator()
-        never = sim.signal("never")
-
-        def blocked():
-            yield never
-
-        def fine():
-            yield sim.timeout(1.0)
-
-        sim.spawn(blocked())
-        watched = sim.spawn(fine())
-        sim.run_until_deadlock([watched])  # only `fine` is watched
 
 
 class TestTimeoutCancel:
@@ -86,12 +50,6 @@ class Sink(Device):
 
 
 class TestNetworkHelpers:
-    def test_host_by_ip(self):
-        net = Network(seed=0)
-        host = net.add_host("a")
-        assert net.host_by_ip(host.ip) is host
-        assert net.host_by_ip(net.alloc_ip()) is None
-
     def test_duplicate_host_name_rejected(self):
         net = Network(seed=0)
         net.add_host("a")
@@ -111,23 +69,6 @@ class TestNetworkHelpers:
         assert len(set(ips)) == 10
         assert len(set(macs)) == 10
         assert sorted(ips) == ips
-
-    def test_connect_host_helper(self):
-        net = Network(seed=0)
-        host = net.add_host("h")
-        switch = Sink(net.sim, "sw")
-        net.add_device(switch)
-        link = net.connect_host(host, switch, 5)
-        assert switch.port_of_link(link) == 5
-        assert host.uplink_port == 0
-
-    def test_port_of_link_unknown_raises(self):
-        net = Network(seed=0)
-        a, b, c = Sink(net.sim, "a"), Sink(net.sim, "b"), Sink(net.sim, "c")
-        link_ab = net.connect(a, 0, b, 0)
-        link_bc = net.connect(b, 1, c, 0)
-        with pytest.raises(KeyError):
-            a.port_of_link(link_bc)
 
     def test_network_now_tracks_sim(self):
         net = Network(seed=0)

@@ -1,9 +1,9 @@
-"""Unit tests for processes, timeouts, and combinators."""
+"""Unit tests for processes and timeouts."""
 
 import pytest
 
 from repro.netsim.addresses import IPv4
-from repro.simcore import AllOf, AnyOf, ProcessKilled, Simulator
+from repro.simcore import ProcessKilled, Simulator
 from repro.simcore.trace import TraceLog
 
 
@@ -175,90 +175,6 @@ def test_yield_non_waitable_crashes_process(sim):
     assert isinstance(p.exception, TypeError)
 
 
-def test_allof_collects_in_construction_order(sim):
-    def worker(delay, tag):
-        yield sim.timeout(delay)
-        return tag
-
-    def parent():
-        a = sim.spawn(worker(3.0, "slow"))
-        b = sim.spawn(worker(1.0, "fast"))
-        results = yield AllOf(sim, [a, b])
-        return results
-
-    p = sim.spawn(parent())
-    sim.run()
-    assert p.result == ["slow", "fast"]
-    assert sim.now == 3.0
-
-
-def test_allof_empty_completes_immediately(sim):
-    def parent():
-        results = yield AllOf(sim, [])
-        return results
-
-    p = sim.spawn(parent())
-    sim.run()
-    assert p.result == []
-
-
-def test_allof_propagates_first_failure(sim):
-    def ok():
-        yield sim.timeout(1.0)
-
-    def bad():
-        yield sim.timeout(2.0)
-        raise RuntimeError("bad")
-
-    def parent():
-        yield AllOf(sim, [sim.spawn(ok()), sim.spawn(bad())])
-
-    p = sim.spawn(parent())
-    sim.run()
-    assert isinstance(p.exception, RuntimeError)
-
-
-def test_anyof_returns_first_winner(sim):
-    def worker(delay, tag):
-        yield sim.timeout(delay)
-        return tag
-
-    def parent():
-        slow = sim.spawn(worker(5.0, "slow"))
-        fast = sim.spawn(worker(1.0, "fast"))
-        index, value = yield AnyOf(sim, [slow, fast])
-        return index, value, sim.now
-
-    p = sim.spawn(parent())
-    sim.run()
-    index, value, t = p.result
-    assert (index, value) == (1, "fast")
-    assert t == 1.0
-
-
-def test_anyof_with_timeout_race(sim):
-    """The canonical wait-with-timeout idiom."""
-
-    def slow_work():
-        yield sim.timeout(10.0)
-        return "work"
-
-    def parent():
-        work = sim.spawn(slow_work())
-        deadline = sim.timeout(2.0)
-        index, _ = yield AnyOf(sim, [work, deadline])
-        return "timed-out" if index == 1 else "completed"
-
-    p = sim.spawn(parent())
-    sim.run()
-    assert p.result == "timed-out"
-
-
-def test_anyof_requires_children(sim):
-    with pytest.raises(ValueError):
-        AnyOf(sim, [])
-
-
 def test_spawn_order_determines_first_run_order(sim):
     order = []
 
@@ -292,9 +208,13 @@ def test_nested_spawn_and_join_chain(sim):
         return value + 1
 
     def root():
-        values = yield AllOf(sim, [sim.spawn(mid(i)) for i in range(4)])
-        return sum(values)
+        children = [sim.spawn(mid(i)) for i in range(4)]
+        total = 0
+        for child in children:
+            total += yield child
+        return total
 
     p = sim.spawn(root())
     sim.run()
     assert p.result == 1 + 2 + 3 + 4
+    assert sim.now == pytest.approx(0.1)  # the children ran concurrently

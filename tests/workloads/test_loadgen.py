@@ -1,4 +1,4 @@
-"""Tests for the open/closed-loop load generators."""
+"""Tests for the closed-loop load generator."""
 
 import gc
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments import build_testbed
 from repro.simcore.process import Process
-from repro.workloads.loadgen import ClosedLoopGenerator, OpenLoopGenerator
+from repro.workloads.loadgen import ClosedLoopGenerator
 
 
 def _live_processes():
@@ -23,56 +23,6 @@ def rig():
     tb.run(until=tb.sim.now + 30.0)
     assert warm.done
     return tb, svc
-
-
-class TestOpenLoop:
-    def test_fixed_rate_issues_expected_count(self, rig):
-        tb, svc = rig
-        generator = OpenLoopGenerator(tb, svc, rate_rps=5.0)
-        result = generator.start(duration_s=4.0)
-        tb.run(until=tb.sim.now + 10.0)
-        assert result.issued == 20
-        assert len(result.ok) == 20
-        assert result.failed == 0
-
-    def test_poisson_rate_seeded_deterministic(self, rig):
-        tb, svc = rig
-        a = OpenLoopGenerator(tb, svc, rate_rps=5.0, poisson=True, seed=3)
-        b = OpenLoopGenerator(tb, svc, rate_rps=5.0, poisson=True, seed=3)
-        # same seed -> same arrival count over the window
-        result_a = a.start(duration_s=4.0)
-        result_b = b.start(duration_s=4.0)
-        assert result_a.issued == result_b.issued
-        tb.run(until=tb.sim.now + 10.0)
-        assert result_a.failed == 0
-
-    def test_invalid_rate_rejected(self, rig):
-        tb, svc = rig
-        with pytest.raises(ValueError):
-            OpenLoopGenerator(tb, svc, rate_rps=0)
-
-    def test_totals_helper(self, rig):
-        tb, svc = rig
-        generator = OpenLoopGenerator(tb, svc, rate_rps=2.0)
-        result = generator.start(duration_s=2.0)
-        tb.run(until=tb.sim.now + 10.0)
-        totals = result.totals()
-        assert len(totals) == result.issued
-        assert all(t > 0 for t in totals)
-
-    def test_finished_requests_leave_no_process_behind(self, rig):
-        """The result keeps every timing; nothing keeps the request
-        processes that produced them, though the generator is alive."""
-        tb, svc = rig
-        before = _live_processes()
-        generator = OpenLoopGenerator(tb, svc, rate_rps=50.0,
-                                      keep_timings=True)
-        result = generator.start(duration_s=4.0)
-        tb.run(until=tb.sim.now + 10.0)
-        assert result.issued == 200
-        assert len(result.timings) == len(result.ok) == 200
-        assert _live_processes() == before
-        assert generator.result is result
 
 
 class TestClosedLoop:
@@ -99,3 +49,26 @@ class TestClosedLoop:
         tb, svc = rig
         with pytest.raises(ValueError):
             ClosedLoopGenerator(tb, svc, users=0)
+
+    def test_totals_helper(self, rig):
+        tb, svc = rig
+        generator = ClosedLoopGenerator(tb, svc, users=2, think_time_s=0.5)
+        result = generator.start(duration_s=2.0)
+        tb.run(until=tb.sim.now + 10.0)
+        totals = result.totals()
+        assert len(totals) == result.issued > 0
+        assert all(t > 0 for t in totals)
+
+    def test_finished_requests_leave_no_process_behind(self, rig):
+        """The result keeps every timing; nothing keeps the request
+        processes that produced them, though the generator is alive."""
+        tb, svc = rig
+        before = _live_processes()
+        generator = ClosedLoopGenerator(tb, svc, users=4, think_time_s=0.05,
+                                        keep_timings=True)
+        result = generator.start(duration_s=4.0)
+        tb.run(until=tb.sim.now + 10.0)
+        assert result.issued > 100
+        assert len(result.timings) == len(result.ok) == result.issued
+        assert _live_processes() == before
+        assert generator.result is result

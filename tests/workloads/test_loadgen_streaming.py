@@ -1,4 +1,4 @@
-"""Streaming (``keep_timings=False``) mode of the load generators.
+"""Streaming (``keep_timings=False``) mode of the load generator.
 
 The scale-path contract: identical request schedule and identical
 summary statistics to list mode (quantiles within the histogram's bin
@@ -10,7 +10,7 @@ import pytest
 from repro.experiments import build_testbed
 from repro.metrics.stats import StreamingStats
 from repro.workloads.clients import RequestTiming
-from repro.workloads.loadgen import ClosedLoopGenerator, LoadResult, OpenLoopGenerator
+from repro.workloads.loadgen import ClosedLoopGenerator, LoadResult
 
 BIN_REL_ERROR = 10 ** (1 / StreamingStats.BINS_PER_DECADE) - 1
 
@@ -23,41 +23,6 @@ def _rig(seed=12):
     tb.run(until=tb.sim.now + 30.0)
     assert warm.done
     return tb, svc
-
-
-class TestOpenLoopStreaming:
-    def test_streaming_matches_list_mode(self):
-        tb_list, svc_list = _rig()
-        exact = OpenLoopGenerator(tb_list, svc_list, rate_rps=10.0,
-                                  keep_timings=True).start(duration_s=3.0)
-        tb_list.run(until=tb_list.sim.now + 10.0)
-
-        tb_stream, svc_stream = _rig()
-        stream = OpenLoopGenerator(tb_stream, svc_stream, rate_rps=10.0,
-                                   keep_timings=False).start(duration_s=3.0)
-        tb_stream.run(until=tb_stream.sim.now + 10.0)
-
-        assert stream.timings == []
-        assert stream.issued == exact.issued == 30
-        assert stream.completed_count == len(exact.completed)
-        assert stream.ok_count == len(exact.ok)
-        assert stream.failed == exact.failed == 0
-
-        want, got = exact.summary(), stream.summary()
-        assert got.count == want.count
-        assert got.mean == pytest.approx(want.mean, rel=1e-9)
-        assert got.std == pytest.approx(want.std, rel=1e-6, abs=1e-12)
-        assert got.minimum == want.minimum
-        assert got.maximum == want.maximum
-        assert got.median == pytest.approx(want.median, rel=3 * BIN_REL_ERROR)
-
-    def test_streaming_rejects_exact_accessors(self):
-        tb, svc = _rig()
-        result = OpenLoopGenerator(tb, svc, rate_rps=5.0,
-                                   keep_timings=False).start(duration_s=1.0)
-        tb.run(until=tb.sim.now + 10.0)
-        with pytest.raises(ValueError, match="keep_timings=False"):
-            result.totals()
 
 
 class TestClosedLoopStreaming:
@@ -79,6 +44,41 @@ class TestClosedLoopStreaming:
         assert stream.ok_count == len(exact.ok)
         assert stream.summary().mean == pytest.approx(
             exact.summary().mean, rel=1e-9)
+
+    def test_streaming_matches_list_mode(self):
+        tb_list, svc_list = _rig()
+        exact = ClosedLoopGenerator(tb_list, svc_list, users=2,
+                                    think_time_s=0.1,
+                                    keep_timings=True).start(duration_s=3.0)
+        tb_list.run(until=tb_list.sim.now + 10.0)
+
+        tb_stream, svc_stream = _rig()
+        stream = ClosedLoopGenerator(tb_stream, svc_stream, users=2,
+                                     think_time_s=0.1,
+                                     keep_timings=False).start(duration_s=3.0)
+        tb_stream.run(until=tb_stream.sim.now + 10.0)
+
+        assert stream.timings == []
+        assert stream.issued == exact.issued > 0
+        assert stream.completed_count == len(exact.completed)
+        assert stream.ok_count == len(exact.ok)
+        assert stream.failed == exact.failed == 0
+
+        want, got = exact.summary(), stream.summary()
+        assert got.count == want.count
+        assert got.mean == pytest.approx(want.mean, rel=1e-9)
+        assert got.std == pytest.approx(want.std, rel=1e-6, abs=1e-12)
+        assert got.minimum == want.minimum
+        assert got.maximum == want.maximum
+        assert got.median == pytest.approx(want.median, rel=3 * BIN_REL_ERROR)
+
+    def test_streaming_rejects_exact_accessors(self):
+        tb, svc = _rig()
+        result = ClosedLoopGenerator(tb, svc, users=2, think_time_s=0.2,
+                                     keep_timings=False).start(duration_s=1.0)
+        tb.run(until=tb.sim.now + 10.0)
+        with pytest.raises(ValueError, match="keep_timings=False"):
+            result.totals()
 
 
 class TestRecordSemantics:
